@@ -32,30 +32,27 @@ class FpOp(enum.Enum):
     I2F_S = "fp.itof.s"
     F2I_S = "fp.ftoi.s"
 
-    # -- classification --------------------------------------------------------
+    # -- classification (lookups into the tables below the class) ----------
     @property
     def kind(self) -> str:
         """Operation family: add/sub/mul/div/i2f/f2i."""
-        return {
-            "FpOp.ADD": "add", "FpOp.SUB": "sub", "FpOp.MUL": "mul",
-            "FpOp.DIV": "div", "FpOp.I2F": "i2f", "FpOp.F2I": "f2i",
-        }[f"FpOp.{self.name.rsplit('_', 1)[0]}"]
+        return _KIND[self]
 
     @property
     def precision(self) -> str:
-        return "double" if self.name.endswith("_D") else "single"
+        return _PRECISION[self]
 
     @property
     def fmt(self) -> FloatFormat:
-        return DOUBLE if self.precision == "double" else SINGLE
+        return DOUBLE if _IS_DOUBLE[self] else SINGLE
 
     @property
     def is_double(self) -> bool:
-        return self.precision == "double"
+        return _IS_DOUBLE[self]
 
     @property
     def has_two_operands(self) -> bool:
-        return self.kind in ("add", "sub", "mul", "div")
+        return _KIND[self] in ("add", "sub", "mul", "div")
 
     @property
     def latency_cycles(self) -> int:
@@ -64,9 +61,7 @@ class FpOp(enum.Enum):
         Matches the Fig. 3 structure: add/sub flow through the 6-stage
         pipeline, mul carries the array, div is long-latency iterative.
         """
-        return {
-            "add": 6, "sub": 6, "mul": 7, "div": 24, "i2f": 3, "f2i": 3,
-        }[self.kind]
+        return _LATENCY[self]
 
     @property
     def mnemonic(self) -> str:
@@ -75,6 +70,12 @@ class FpOp(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+
+_KIND = {op: op.name.rsplit("_", 1)[0].lower() for op in FpOp}
+_IS_DOUBLE = {op: op.name.endswith("_D") for op in FpOp}
+_PRECISION = {op: "double" if _IS_DOUBLE[op] else "single" for op in FpOp}
+_LATENCY = {op: {"add": 6, "sub": 6, "mul": 7, "div": 24, "i2f": 3,
+                 "f2i": 3}[_KIND[op]] for op in FpOp}
 
 #: Double-precision instructions (the error-prone set under VR15/VR20).
 OPS_DOUBLE: List[FpOp] = [

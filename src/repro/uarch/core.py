@@ -18,8 +18,10 @@ injection semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -105,71 +107,71 @@ class OoOCore:
                 store_forward_rate=0.0,
             )
 
-        fetch = np.zeros(n, dtype=np.float64)
-        issue = np.zeros(n, dtype=np.float64)
-        writeback = np.zeros(n, dtype=np.float64)
-        commit = np.zeros(n, dtype=np.float64)
-
-        reg_ready = np.zeros(2 * NUM_REGS, dtype=np.float64)
-        # Rotating FU free times per pool.
+        # Python lists and floats throughout: numpy only at the edges.
+        fp = int(InstrClass.FP)
         int_free = [0.0] * p.int_units
         mem_free = [0.0] * p.mem_units
         fp_free = [0.0] * p.fp_units
+        # Per class code: rotating FU free times and register-bank offset.
+        pool_of = [fp_free if c == fp else
+                   mem_free if c in (InstrClass.LOAD, InstrClass.STORE) else
+                   int_free for c in InstrClass]
+        bank_of = [NUM_REGS if c == fp else 0 for c in InstrClass]
+        reg_ready = [0.0] * (2 * NUM_REGS)
+        step = 1.0 / p.fetch_width
+        # Commit times of the last rob_size instructions, oldest first;
+        # the zero padding stands for "no ROB limit yet".
+        rob = deque([0.0] * p.rob_size, maxlen=p.rob_size)
+        fp_writeback: List[float] = []
+        next_fetch = 0.0
+        last_commit = 0.0
         redirect_at = 0.0
         wrong_path_cycles = 0.0
-
-        cls = window.cls
-        lat = window.latency
-        for i in range(n):
-            c = cls[i]
+        for c, lat, s1, s2, d, mispredicted in _rows(window):
             # Fetch: width, ROB occupancy, and any pending redirect.
-            f = fetch[i - 1] + (1.0 / p.fetch_width) if i else 0.0
-            if i >= p.rob_size:
-                f = max(f, commit[i - p.rob_size])
-            f = max(f, redirect_at)
-            fetch[i] = f
+            f = next_fetch
+            if rob[0] > f:
+                f = rob[0]
+            if redirect_at > f:
+                f = redirect_at
+            next_fetch = f + step
 
             # Register read-after-write dependencies (FP bank offset).
-            bank = NUM_REGS if c == int(InstrClass.FP) else 0
+            bank = bank_of[c]
             ready = f + 1.0  # decode/rename
-            s1, s2 = window.src1[i], window.src2[i]
-            if s1 >= 0:
-                ready = max(ready, reg_ready[bank + s1])
-            if s2 >= 0:
-                ready = max(ready, reg_ready[bank + s2])
+            if s1 >= 0 and reg_ready[bank + s1] > ready:
+                ready = reg_ready[bank + s1]
+            if s2 >= 0 and reg_ready[bank + s2] > ready:
+                ready = reg_ready[bank + s2]
 
-            # Structural hazard on the right FU pool.
-            if c == int(InstrClass.FP):
-                pool = fp_free
-            elif c in (int(InstrClass.LOAD), int(InstrClass.STORE)):
-                pool = mem_free
-            else:
-                pool = int_free
-            slot = min(range(len(pool)), key=lambda k: pool[k])
-            start = max(ready, pool[slot])
-            issue[i] = start
-            done = start + float(lat[i])
-            blocking = (p.fp_div_blocking and c == int(InstrClass.FP)
-                        and lat[i] >= 20)
+            # Structural hazard on the right FU pool: the first unit
+            # with the earliest free time.
+            pool = pool_of[c]
+            slot = pool.index(min(pool)) if len(pool) > 1 else 0
+            start = pool[slot] if pool[slot] > ready else ready
+            done = start + lat
+            blocking = c == fp and lat >= 20 and p.fp_div_blocking
             pool[slot] = done if blocking else start + 1.0
-            writeback[i] = done
+            if c == fp:
+                fp_writeback.append(done)
 
-            d = window.dest[i]
             if d >= 0:
                 reg_ready[bank + d] = done
 
-            commit[i] = max(done, commit[i - 1] if i else 0.0)
+            if done > last_commit:
+                last_commit = done
+            rob.append(last_commit)
 
-            if c == int(InstrClass.BRANCH) and window.mispredicted[i]:
+            if mispredicted and c == InstrClass.BRANCH:
                 resolve = done + p.mispredict_penalty
-                wrong_path_cycles += max(0.0, resolve - fetch[i])
+                wrong_path_cycles += max(0.0, resolve - f)
                 redirect_at = resolve
 
-        window_cycles = int(np.ceil(commit[-1]))
+        window_cycles = math.ceil(last_commit)
         cpi = window_cycles / n
 
-        fp_mask = cls == int(InstrClass.FP)
-        fp_wb = writeback[fp_mask].astype(np.int64)
+        fp_mask = window.cls == fp
+        fp_wb = np.asarray(fp_writeback, dtype=np.float64).astype(np.int64)
         fp_idx = window.fp_index[fp_mask]
 
         # Wrong-path FP estimate: during redirect windows the front-end
@@ -203,26 +205,34 @@ class OoOCore:
         )
 
 
+def _rows(window: TraceWindow):
+    """The window's rows as Python values, converted a chunk at a time.
+
+    Chunking bounds the per-column lists, so a golden build's peak
+    memory stays below that of whole-window numpy timestamp arrays.
+    """
+    chunk = 8192
+    columns = (window.cls, window.latency, window.src1, window.src2,
+               window.dest, window.mispredicted)
+    for lo in range(0, len(window), chunk):
+        yield from zip(*(col[lo:lo + chunk].tolist() for col in columns))
+
+
 def _dead_write_fraction(window: TraceWindow) -> float:
     """Fraction of FP register writes overwritten before any read."""
-    cls = window.cls
-    fp = int(InstrClass.FP)
-    last_write: Dict[int, int] = {}
-    read_since: Dict[int, bool] = {}
+    fp = window.cls == int(InstrClass.FP)
+    read_since: Dict[int, bool] = {}  # every written register: read yet?
     dead = 0
     total = 0
-    for i in range(len(window)):
-        if cls[i] != fp:
-            continue
-        s1, s2, d = window.src1[i], window.src2[i], window.dest[i]
+    for s1, s2, d in zip(window.src1[fp].tolist(), window.src2[fp].tolist(),
+                         window.dest[fp].tolist()):
         for s in (s1, s2):
-            if s >= 0 and s in last_write:
+            if s >= 0 and s in read_since:
                 read_since[s] = True
         if d >= 0:
             total += 1
-            if d in last_write and not read_since.get(d, False):
+            if not read_since.get(d, True):
                 dead += 1
-            last_write[d] = i
             read_since[d] = False
     return dead / total if total else 0.0
 
@@ -234,18 +244,18 @@ def _store_forward_rate(window: TraceWindow) -> float:
     whose address register matches a store's within the last ROB-ish
     window forwards.
     """
-    recent_stores: List[int] = []
+    store = int(InstrClass.STORE)
+    mem = (window.cls == store) | (window.cls == int(InstrClass.LOAD))
+    recent_stores: Deque[int] = deque(maxlen=16)
     forwards = 0
     loads = 0
-    for i in range(len(window)):
-        c = window.cls[i]
-        if c == int(InstrClass.STORE):
-            recent_stores.append(int(window.src2[i]))
-            if len(recent_stores) > 16:
-                recent_stores.pop(0)
-        elif c == int(InstrClass.LOAD):
+    for c, s1, s2 in zip(window.cls[mem].tolist(), window.src1[mem].tolist(),
+                         window.src2[mem].tolist()):
+        if c == store:
+            recent_stores.append(s2)
+        else:
             loads += 1
-            if int(window.src1[i]) in recent_stores:
+            if s1 in recent_stores:
                 forwards += 1
     return forwards / loads if loads else 0.0
 

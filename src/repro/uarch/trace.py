@@ -12,8 +12,9 @@ deterministic :class:`TraceWindow` arrays the OoO core model consumes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -94,6 +95,11 @@ class TraceWindow:
         return int(np.count_nonzero(self.cls == int(InstrClass.FP)))
 
 
+#: Execution latency per filler class code (only filler classes are read).
+_FILLER_LATENCY = np.array(
+    [CLASS_LATENCY.get(c, 0) for c in InstrClass], dtype=np.int16)
+
+
 def synthesize_trace(workload: str,
                      fp_ops: List[FpOp],
                      mix: Optional[TraceMix] = None,
@@ -105,9 +111,15 @@ def synthesize_trace(workload: str,
     types the workload executes; at most ``max_window`` total instructions
     are materialised (SimPoint-style window — the core model extrapolates
     CPI beyond it).
+
+    The order and ``size`` of every generator call are part of the golden
+    format (DESIGN.md §3).  Only those calls run per instruction; the
+    columns are assembled from their results at the end.
     """
     mix = mix or MIXES.get(workload, MIXES["default"])
-    rng = RngStream(seed, f"trace/{workload}")
+    generator = RngStream(seed, f"trace/{workload}").generator
+    random = generator.random
+    integers = generator.integers
 
     filler_per_fp = mix.ops_per_fp
     n_fp_window = max(1, min(
@@ -115,76 +127,82 @@ def synthesize_trace(workload: str,
         int(max_window / (1.0 + filler_per_fp)),
     )) if fp_ops else 0
 
-    cls: List[int] = []
-    latency: List[int] = []
-    dest: List[int] = []
-    src1: List[int] = []
-    src2: List[int] = []
-    fp_index: List[int] = []
-    mispred: List[bool] = []
+    store_below = mix.load_fraction + mix.store_fraction
+    branch_below = store_below + mix.branch_fraction
 
-    def emit(c: InstrClass, lat: int, d: int, s1: int, s2: int,
-             fpi: int = -1, mp: bool = False) -> None:
-        cls.append(int(c))
-        latency.append(lat)
-        dest.append(d)
-        src1.append(s1)
-        src2.append(s2)
-        fp_index.append(fpi)
-        mispred.append(mp)
-
+    # Filler counts first, so the draws land in preallocated columns
+    # instead of one small array per group.
+    n_fillers: List[int] = []
     carry = 0.0
-    recent_fp: List[int] = []
-    for i in range(n_fp_window):
+    for _ in range(n_fp_window):
         carry += filler_per_fp
-        n_filler = int(carry)
-        carry -= n_filler
-        draws = rng.random(size=max(1, n_filler))
-        regs = rng.integers(0, NUM_REGS, size=3 * max(1, n_filler))
-        for j in range(n_filler):
-            r = draws[j]
-            d, s1, s2 = (int(regs[3 * j]), int(regs[3 * j + 1]),
-                         int(regs[3 * j + 2]))
-            if r < mix.load_fraction:
-                emit(InstrClass.LOAD, CLASS_LATENCY[InstrClass.LOAD], d, s1, -1)
-            elif r < mix.load_fraction + mix.store_fraction:
-                emit(InstrClass.STORE, CLASS_LATENCY[InstrClass.STORE],
-                     -1, s1, s2)
-            elif r < (mix.load_fraction + mix.store_fraction
-                      + mix.branch_fraction):
-                mp = bool(rng.random() < mix.branch_mispredict)
-                emit(InstrClass.BRANCH, CLASS_LATENCY[InstrClass.BRANCH],
-                     -1, s1, s2, mp=mp)
-            else:
-                emit(InstrClass.INT_ALU, CLASS_LATENCY[InstrClass.INT_ALU],
-                     d, s1, s2)
-        op = fp_ops[i]
+        n_fillers.append(int(carry))
+        carry -= n_fillers[-1]
+    r = np.empty(sum(n_fillers))
+    reg = np.empty(3 * len(r), dtype=np.int16)
+    branch_mispredicted: List[bool] = []
+    fp_src1: List[int] = []
+    fp_src2: List[int] = []
+    recent_fp: Deque[int] = deque(maxlen=6)
+    pos = 0
+    for i, n_filler in enumerate(n_fillers):
+        draws = random(size=max(1, n_filler))
+        regs = integers(0, NUM_REGS, size=3 * max(1, n_filler))
+        if n_filler:
+            r[pos:pos + n_filler] = draws
+            reg[3 * pos:3 * (pos + n_filler)] = regs
+            pos += n_filler
+            for x in draws.tolist():
+                if store_below <= x < branch_below:
+                    branch_mispredicted.append(
+                        random() < mix.branch_mispredict)
         # Realistic producer-consumer register allocation: destinations
         # rotate through a working set and sources usually read recent
         # producers (compilers keep FP lifetimes short but *used*); a
         # small fraction of results is genuinely dead (speculative
         # hoisting, unused lanes).
-        dest_reg = int(2 + (i % (NUM_REGS - 2)))
-        if rng.random() < 0.9 and recent_fp:
-            s1_reg = recent_fp[int(rng.integers(0, len(recent_fp)))]
+        if random() < 0.9 and recent_fp:
+            fp_src1.append(recent_fp[integers(0, len(recent_fp))])
         else:
-            s1_reg = int(rng.integers(0, NUM_REGS))
-        if rng.random() < 0.6 and recent_fp:
-            s2_reg = recent_fp[int(rng.integers(0, len(recent_fp)))]
+            fp_src1.append(int(integers(0, NUM_REGS)))
+        if random() < 0.6 and recent_fp:
+            fp_src2.append(recent_fp[integers(0, len(recent_fp))])
         else:
-            s2_reg = int(rng.integers(0, NUM_REGS))
-        emit(InstrClass.FP, op.latency_cycles, dest_reg, s1_reg, s2_reg,
-             fpi=i)
-        recent_fp.append(dest_reg)
-        if len(recent_fp) > 6:
-            recent_fp.pop(0)
+            fp_src2.append(int(integers(0, NUM_REGS)))
+        recent_fp.append(2 + i % (NUM_REGS - 2))
+
+    # Columnar assembly: FP instruction i sits after the fillers of
+    # groups 0..i; every other row is a filler, in draw order.
+    fp_pos = np.cumsum(np.asarray(n_fillers, dtype=np.int64)) \
+        + np.arange(n_fp_window)
+    is_filler = np.ones(n_fp_window + len(r), dtype=bool)
+    is_filler[fp_pos] = False
+    reg = reg.reshape(-1, 3)
+    load, store, branch = (int(InstrClass.LOAD), int(InstrClass.STORE),
+                           int(InstrClass.BRANCH))
+    filler_cls = np.where(r < mix.load_fraction, load, np.where(
+        r < store_below, store, np.where(
+            r < branch_below, branch, int(InstrClass.INT_ALU))))
+    filler_mispredicted = np.zeros(r.shape, dtype=bool)
+    filler_mispredicted[filler_cls == branch] = branch_mispredicted
+
+    def column(dtype, filler, fp):
+        out = np.empty(is_filler.shape, dtype=dtype)
+        out[is_filler] = filler
+        out[fp_pos] = fp
+        return out
 
     return TraceWindow(
-        cls=np.asarray(cls, dtype=np.int8),
-        latency=np.asarray(latency, dtype=np.int16),
-        dest=np.asarray(dest, dtype=np.int16),
-        src1=np.asarray(src1, dtype=np.int16),
-        src2=np.asarray(src2, dtype=np.int16),
-        fp_index=np.asarray(fp_index, dtype=np.int64),
-        mispredicted=np.asarray(mispred, dtype=bool),
+        cls=column(np.int8, filler_cls, int(InstrClass.FP)),
+        latency=column(np.int16, _FILLER_LATENCY[filler_cls],
+                       [op.latency_cycles for op in fp_ops[:n_fp_window]]),
+        dest=column(np.int16,
+                    np.where((filler_cls == store) | (filler_cls == branch),
+                             -1, reg[:, 0]),
+                    2 + np.arange(n_fp_window) % (NUM_REGS - 2)),
+        src1=column(np.int16, reg[:, 1], fp_src1),
+        src2=column(np.int16, np.where(filler_cls == load, -1, reg[:, 2]),
+                    fp_src2),
+        fp_index=column(np.int64, -1, np.arange(n_fp_window)),
+        mispredicted=column(bool, filler_mispredicted, False),
     )

@@ -195,6 +195,27 @@ class TestCampaignIntegration:
         )
         assert outcome_total == 6
 
+    def test_golden_build_spans_trace_and_core(self):
+        from repro.campaign.runner import CampaignRunner
+        from repro.workloads import make_workload
+
+        records = []
+
+        class Sink:
+            def on_span(self, record):
+                records.append(record)
+
+        telemetry.enable().add_sink(Sink())
+        runner = CampaignRunner(make_workload("sobel", scale="tiny", seed=11),
+                                seed=11)
+        schedule = runner.golden().schedule
+        paths = [r.path for r in records]
+        assert paths.count("campaign.golden/uarch.trace") == 1
+        assert paths.count("campaign.golden/uarch.core") == 1
+        assert paths[-1] == "campaign.golden"
+        core = next(r for r in records if r.name == "uarch.core")
+        assert core.attrs["instructions"] == schedule.window_instructions
+
     def test_counter_merge_across_forked_workers(self, tiny_runners,
                                                  wa_models):
         from repro.circuit.liberty import VR20

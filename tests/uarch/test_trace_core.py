@@ -1,5 +1,10 @@
 """Tests for trace synthesis and the out-of-order core model."""
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -232,3 +237,98 @@ class TestFunctionalCore:
     def test_fp_requires_fp_op(self):
         with pytest.raises(ValueError):
             Instruction("fp", dest=1)
+
+
+# -- exact values ---------------------------------------------------------------
+#
+# The invariants above would survive a change that reorders one RNG draw
+# or moves one timestamp.  These cases pin the exact bytes of every
+# TraceWindow column and every PipelineSchedule field.  The RNG call
+# sequence of synthesize_trace is part of the golden format (DESIGN.md
+# §3): if these digests must change, the goldens are being versioned.
+
+DIGESTS_PATH = Path(__file__).parent / "golden" / "trace_core_digests.json"
+
+WINDOW_COLUMNS = ("cls", "latency", "dest", "src1", "src2", "fp_index",
+                  "mispredicted")
+
+CORE_VARIANTS = {
+    "wide": CoreParams(int_units=3, mem_units=2, fp_units=2),
+    "div_pipelined": CoreParams(fp_div_blocking=False),
+    "rob4": CoreParams(rob_size=4),
+    "fetch1": CoreParams(fetch_width=1),
+    "fetch4": CoreParams(fetch_width=4),
+}
+
+
+def _mixed_stream(n=1500):
+    """All 12 instructions, in an irregular order, DIVs included."""
+    ops = list(FpOp)
+    return [ops[(i * 7 + i // 5) % len(ops)] for i in range(n)]
+
+
+def _fingerprint(value):
+    if isinstance(value, np.ndarray):
+        digest = hashlib.sha256(np.ascontiguousarray(value).tobytes())
+        return f"{value.dtype}{list(value.shape)}:{digest.hexdigest()}"
+    return f"{type(value).__name__}:{value!r}"
+
+
+def _window_digest(window):
+    return {name: _fingerprint(getattr(window, name))
+            for name in WINDOW_COLUMNS}
+
+
+def _schedule_digest(schedule):
+    return {f.name: _fingerprint(getattr(schedule, f.name))
+            for f in dataclasses.fields(schedule)}
+
+
+def _exact_cases():
+    """Case id -> (window, schedule) digests, recomputed from the code."""
+    stream = _mixed_stream()
+    cases = {}
+    for name, mix in MIXES.items():
+        for seed in (2021, 11):
+            window = synthesize_trace(name, stream, mix=mix, seed=seed)
+            cases[f"mix/{name}/{seed}"] = (window, OoOCore().simulate(window))
+    half = synthesize_trace("half", stream, mix=TraceMix(ops_per_fp=0.5),
+                            seed=2021)
+    cases["mix/fractional"] = (half, OoOCore().simulate(half))
+    capped = synthesize_trace("cg", stream, seed=2021, max_window=2000)
+    cases["max_window"] = (capped, OoOCore().simulate(
+        capped, total_fp_instructions=len(stream), ops_per_fp=5.0))
+    empty = synthesize_trace("cg", [], seed=2021)
+    cases["empty"] = (empty, OoOCore().simulate(empty))
+    base = synthesize_trace("cg", stream, seed=2021)
+    for label, params in CORE_VARIANTS.items():
+        cases[f"core/{label}"] = (base, OoOCore(params).simulate(base))
+    return {case: {"window": _window_digest(window),
+                   "schedule": _schedule_digest(schedule)}
+            for case, (window, schedule) in cases.items()}
+
+
+class TestExactValues:
+    @pytest.fixture(scope="class")
+    def computed(self):
+        return _exact_cases()
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(DIGESTS_PATH.read_text())
+
+    def test_case_set_matches(self, computed, pinned):
+        assert sorted(computed) == sorted(pinned)
+
+    @pytest.mark.parametrize("part", ["window", "schedule"])
+    def test_digests_match(self, computed, pinned, part):
+        for case in sorted(pinned):
+            assert computed[case][part] == pinned[case][part], case
+
+
+if __name__ == "__main__":
+    # Rewrites the pinned digests: only when the golden format is being
+    # versioned on purpose (see DESIGN.md §3).
+    DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    DIGESTS_PATH.write_text(json.dumps(_exact_cases(), indent=1,
+                                       sort_keys=True) + "\n")
