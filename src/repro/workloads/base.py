@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors.base import WorkloadProfile
 from repro.fpu.formats import FpOp
-from repro.utils import ieee754
 
 
 class GuestCrash(Exception):
@@ -38,16 +37,17 @@ class GuestTimeout(Exception):
     """The guest exceeded 2x the error-free execution budget."""
 
 
-_BINARY_FNS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
+#: Binary FpOp -> (ufunc, single precision), built once.
+_BINARY_META = {op: ({"add": np.add, "sub": np.subtract, "mul": np.multiply,
+                      "div": np.divide}[op.kind], not op.is_double)
+                for op in FpOp if op.has_two_operands}
 
 
 class FPContext:
-    """FP interposition layer between a guest algorithm and the FPU."""
+    """FP interposition layer between a guest algorithm and the FPU.
+
+    numpy's FP error state is left to the caller (the campaign runner).
+    """
 
     def __init__(
         self,
@@ -114,10 +114,9 @@ class FPContext:
             half = arr.size // 2
             paired = self.add(arr[:half], arr[half:2 * half])
             if arr.size % 2:
-                arr = np.concatenate([np.atleast_1d(paired),
-                                      arr[2 * half:]])
+                arr = np.concatenate([paired, arr[2 * half:]])
             else:
-                arr = np.atleast_1d(paired)
+                arr = paired
         return float(arr[0]) if arr.size else 0.0
 
     def dot(self, a, b):
@@ -163,7 +162,7 @@ class FPContext:
             if 0 <= offset < n:
                 result_bits[offset] ^= np.uint64(mask)
                 self.corrupted_events += 1
-                touched = True
+                touched = self._armed = True
         return touched
 
     def _trap_check(self, values: np.ndarray) -> None:
@@ -172,46 +171,47 @@ class FPContext:
                 raise GuestFpException("non-finite value raised SIGFPE")
 
     def _binary(self, op: FpOp, a, b):
-        a_arr, b_arr = np.broadcast_arrays(
-            np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        )
-        scalar = a_arr.ndim == 0
-        a_flat = np.atleast_1d(a_arr).ravel()
-        b_flat = np.atleast_1d(b_arr).ravel()
-        n = a_flat.size
-        start = self._charge(op, n)
-
-        single = not op.is_double
+        ufunc, single = _BINARY_META[op]
+        a_arr = np.asarray(a, dtype=np.float64)
+        b_arr = np.asarray(b, dtype=np.float64)
         if single:
-            a_flat = a_flat.astype(np.float32)
-            b_flat = b_flat.astype(np.float32)
-        with np.errstate(all="ignore"):
-            result = _BINARY_FNS[op.kind](a_flat, b_flat)
+            a_arr = a_arr.astype(np.float32)
+            b_arr = b_arr.astype(np.float32)
+        # A fresh C-order result: corruption offsets follow the C-order
+        # flattening of the broadcast.  Two 0-d operands give a scalar.
+        result = ufunc(a_arr, b_arr, order="C")
+        scalar = result.ndim == 0
+        if scalar:
+            result = result.reshape(1)
+        start = self._charge(op, result.size)
 
         if self.record_trace:
+            # Operands broadcast into fresh C-order buffers (setitem is
+            # several times cheaper than np.broadcast_to on small arrays).
+            a_flat = np.empty(result.size, a_arr.dtype)
+            b_flat = np.empty(result.size, b_arr.dtype)
+            a_flat.reshape(result.shape)[...] = a_arr
+            b_flat.reshape(result.shape)[...] = b_arr
             if single:
-                self._record(op, ieee754.floats_to_bits32(a_flat).astype(np.uint64),
-                             ieee754.floats_to_bits32(b_flat).astype(np.uint64))
+                self._record(op, a_flat.view(np.uint32).astype(np.uint64),
+                             b_flat.view(np.uint32).astype(np.uint64))
             else:
                 self._record(op, a_flat.view(np.uint64),
                              b_flat.view(np.uint64))
 
         if self.corruption.get(op):
+            flat = result.reshape(-1)
             if single:
-                bits = result.view(np.uint32).astype(np.uint64)
+                bits = flat.view(np.uint32).astype(np.uint64)
                 if self._apply_corruption(op, start, bits):
-                    result = bits.astype(np.uint32).view(np.float32)
-                    self._armed = True
+                    flat.view(np.uint32)[:] = bits
             else:
-                bits = result.view(np.uint64)
-                if self._apply_corruption(op, start, bits):
-                    self._armed = True
-                result = bits.view(np.float64)
+                self._apply_corruption(op, start, flat.view(np.uint64))
 
-        result = result.astype(np.float64)
+        if single:
+            result = result.astype(np.float64)
         self._trap_check(result)
-        out = result.reshape(a_arr.shape) if not scalar else result[0]
-        return out
+        return result[0] if scalar else result
 
     def _conv(self, op: FpOp, values):
         shaped = np.asarray(values)
@@ -224,24 +224,17 @@ class FPContext:
             if self.record_trace:
                 self._record(op, src.view(np.uint64), None)
             result = src.astype(np.float64)
-            bits = result.view(np.uint64)
-            if self._apply_corruption(op, start, bits):
-                self._armed = True
-            result = bits.view(np.float64)
+            self._apply_corruption(op, start, result.view(np.uint64))
             self._trap_check(result)
             return result[0] if scalar else result.reshape(shaped.shape)
         # f2i: round toward zero, saturating (matches the FPU semantics).
         src = arr.astype(np.float64)
         if self.record_trace:
             self._record(op, src.view(np.uint64), None)
-        with np.errstate(all="ignore"):
-            clipped = np.where(np.isnan(src), 0.0,
-                               np.clip(src, -2.0**62, 2.0**62))
-            result = np.trunc(clipped).astype(np.int64)
-        bits = result.view(np.uint64)
-        if self._apply_corruption(op, start, bits):
-            self._armed = True
-        result = bits.view(np.int64)
+        clipped = np.where(np.isnan(src), 0.0,
+                           np.clip(src, -2.0**62, 2.0**62))
+        result = np.trunc(clipped).astype(np.int64)
+        self._apply_corruption(op, start, result.view(np.uint64))
         return int(result[0]) if scalar else result.reshape(shaped.shape)
 
     # -- checkpoint position ----------------------------------------------------------

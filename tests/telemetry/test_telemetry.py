@@ -178,14 +178,37 @@ class TestJsonlSink:
 
 class TestCampaignIntegration:
     def test_serial_campaign_populates_counters(self, tiny_runners,
-                                                wa_models):
+                                                wa_models, monkeypatch):
+        from repro.campaign.fastforward import FastForwardConfig
+        from repro.campaign.runner import CampaignRunner
         from repro.circuit.liberty import VR20
+        from repro.fpu.formats import FpOp
+        from repro.workloads import make_workload
+        from repro.workloads.base import FPContext
 
-        telemetry.enable()
         runner = tiny_runners["kmeans"]
+        # A snapshot per step, so a late victim skips a golden prefix.
+        dense = CampaignRunner(make_workload("kmeans", scale="tiny", seed=11),
+                               seed=11,
+                               fastforward=FastForwardConfig(interval=1))
+        last = dense.golden().profile.counts_by_op[FpOp.ADD_D] - 1
+        # Every FP op a guest dispatches is charged once; a snapshot
+        # restore moves ops_executed without charging the skipped prefix.
+        charged = []
+        charge = FPContext._charge
+
+        def counting_charge(self, op, n):
+            charged.append(n)
+            return charge(self, op, n)
+
+        monkeypatch.setattr(FPContext, "_charge", counting_charge)
+        telemetry.enable()
         with CampaignExecutor(runner) as executor:
             executor.run_cell(wa_models["kmeans"], VR20, runs=6)
+        dense.run_guest({FpOp.ADD_D: {last: 1}})
         data = telemetry.snapshot()
+        assert data["counters"]["campaign.ff.ops_skipped"] > 0
+        assert data["counters"]["workloads.fp_ops"] == sum(charged) > 0
         assert data["counters"]["campaign.cells"] == 1
         assert data["counters"]["campaign.runs.executed"] == 6
         assert data["stats"]["campaign.run_ms"]["count"] == 6
