@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.backend import BatchOutcome, BatchTimingMixin
+from repro.circuit.backend import BatchOutcome
 from repro.circuit.cells import Cell
 from repro.circuit.netlist import Netlist
 from repro import telemetry
@@ -349,7 +349,7 @@ def _pack_lanes(words: Sequence[int], count: int) -> Tuple[int, ...]:
     return tuple(lanes)
 
 
-class BitParallelTimingAnalysis(BatchTimingMixin):
+class BitParallelTimingAnalysis:
     """Bit-parallel two-instance DTA; drop-in for ``DynamicTimingAnalysis``.
 
     Verdicts (golden, sampled, fault bitmask) are bit-identical to the

@@ -45,14 +45,11 @@ def _make_pipeline(fpu: FPU,
                    workers: Optional[int],
                    chunk: Optional[int],
                    cache_dir: Optional[Union[str, Path]],
-                   timing_backend: Optional[str] = None,
                    ) -> Optional[CharacterizationPipeline]:
     """Build a characterization pipeline when any knob is set.
 
     All knobs ``None`` means "legacy serial path" — the context then
-    reproduces the historical model numbers byte for byte.  The timing
-    backend rides along into the pipeline config (and hence every model
-    cache key) whenever a pipeline is built.
+    reproduces the historical model numbers byte for byte.
     """
     if workers is None and chunk is None and cache_dir is None:
         return None
@@ -61,7 +58,6 @@ def _make_pipeline(fpu: FPU,
         chunk=chunk if chunk is not None else DEFAULT_DTA_BATCH,
         cache_dir=Path(cache_dir) if cache_dir is not None else None,
         use_cache=cache_dir is not None,
-        timing_backend=timing_backend or fpu.timing_backend,
     )
     return CharacterizationPipeline(config, fpu=fpu)
 
@@ -73,7 +69,6 @@ def ensure_context(context: Optional["ExperimentContext"],
                    workers: Optional[int] = None,
                    chunk: Optional[int] = None,
                    cache_dir: Optional[Union[str, Path]] = None,
-                   timing_backend: Optional[str] = None,
                    ) -> "ExperimentContext":
     """Reuse a supplied context or build one from the uniform options.
 
@@ -83,9 +78,7 @@ def ensure_context(context: Optional["ExperimentContext"],
     it.  ``workers`` / ``chunk`` / ``cache_dir`` opt the build into the
     parallel, content-addressed characterization pipeline
     (:mod:`repro.errors.pipeline`); all three left ``None`` keeps the
-    legacy serial path.  ``timing_backend`` selects the gate-level DTA
-    engine identity (``event`` / ``bitparallel``) carried by the FPU's
-    timing model and by every pipeline cache key.
+    legacy serial path.
     """
     if context is not None:
         return context
@@ -93,7 +86,6 @@ def ensure_context(context: Optional["ExperimentContext"],
         scale=scale, seed=seed, characterization_samples=samples,
         benchmarks=tuple(benchmarks) if benchmarks else BENCHMARKS,
         workers=workers, chunk=chunk, cache_dir=cache_dir,
-        timing_backend=timing_backend,
     )
 
 
@@ -127,7 +119,6 @@ class ExperimentContext:
                chunk: Optional[int] = None,
                cache_dir: Optional[Union[str, Path]] = None,
                fastforward: Optional[FastForwardConfig] = None,
-               timing_backend: Optional[str] = None,
                ) -> "ExperimentContext":
         """Model-development phase over the chosen benchmarks.
 
@@ -139,14 +130,11 @@ class ExperimentContext:
         configures the campaign runners' snapshot engine (``None`` keeps
         the default-on configuration; pass
         ``FastForwardConfig(enabled=False)`` for full replay).
-        ``timing_backend`` binds the FPU's timing model (and any built
-        pipeline's cache keys) to a gate-level engine identity.
         """
         points = list(points) if points else [VR15, VR20]
-        fpu = FPU(timing_backend=timing_backend)
+        fpu = FPU()
         if pipeline is None:
-            pipeline = _make_pipeline(fpu, workers, chunk, cache_dir,
-                                      timing_backend)
+            pipeline = _make_pipeline(fpu, workers, chunk, cache_dir)
         runners: Dict[str, CampaignRunner] = {}
         profiles: Dict[str, WorkloadProfile] = {}
         wa: Dict[str, WaModel] = {}

@@ -48,17 +48,8 @@ class DtaBatch:
 class FPU:
     """The voltage-scalable floating-point unit under study."""
 
-    def __init__(self, timing_model: Optional[TimingModel] = None,
-                 timing_backend: Optional[str] = None):
+    def __init__(self, timing_model: Optional[TimingModel] = None):
         self.timing_model = timing_model or DEFAULT_MODEL
-        if timing_backend is not None:
-            self.timing_model = self.timing_model.with_gate_backend(
-                timing_backend)
-
-    @property
-    def timing_backend(self) -> str:
-        """Gate-level engine identity of the model (cache-key component)."""
-        return self.timing_model.gate_backend
 
     # -- architectural execution ---------------------------------------------------
     def execute(self, op: FpOp, a: int, b: int = 0) -> int:

@@ -36,8 +36,6 @@ from repro.circuit.cells import LIBRARY, Cell
 from repro.circuit.dta import DynamicTimingAnalysis
 from repro.circuit.sta import StaticTimingAnalysis
 from repro.errors.characterize import random_vector_words
-from repro.errors.pipeline import cache_key
-from repro.circuit.liberty import VR15, VR20
 from repro.utils.rng import RngStream
 
 try:
@@ -96,6 +94,13 @@ def assert_verdicts_identical(event, fast):
         assert fast_ps <= slow_ps + 1e-9
 
 
+def _single_transition(engine, previous, current):
+    """One dict-form transition as a batch of one lane."""
+    return engine.analyze_batch(pack_input_words(engine.netlist, [previous]),
+                                pack_input_words(engine.netlist, [current]),
+                                count=1).outcome(0)
+
+
 class TestDifferential:
     @pytest.mark.parametrize("factor,clock_scale", OPERATING_POINTS)
     def test_batch_verdicts_bit_identical(self, netlist, factor,
@@ -114,21 +119,21 @@ class TestDifferential:
         prev_vecs = unpack_input_words(netlist, prev, 16)
         cur_vecs = unpack_input_words(netlist, cur, 16)
         for lane, outcome in enumerate(fast.outcomes()):
-            reference = event_dta.analyze_transition(prev_vecs[lane],
-                                                     cur_vecs[lane])
+            reference = _single_transition(event_dta, prev_vecs[lane],
+                                           cur_vecs[lane])
             assert outcome.golden == reference.golden
             assert outcome.sampled == reference.sampled
             assert outcome.bitmask == reference.bitmask
             assert outcome.faulty == reference.faulty
 
     def test_wrapper_parity_across_backends(self, netlist):
-        """The deprecated dict wrappers agree between both engines."""
+        """Batch-of-one dict transitions agree between both engines."""
         event_dta, fast_dta = _engines(netlist, 1.5, 0.9)
         prev, cur = _random_stream(netlist, lanes=1, seed=5)
         prev_vec = unpack_input_words(netlist, prev, 1)[0]
         cur_vec = unpack_input_words(netlist, cur, 1)[0]
-        slow = event_dta.analyze_transition(prev_vec, cur_vec)
-        fast = fast_dta.analyze_transition(prev_vec, cur_vec)
+        slow = _single_transition(event_dta, prev_vec, cur_vec)
+        fast = _single_transition(fast_dta, prev_vec, cur_vec)
         assert (slow.golden, slow.sampled, slow.bitmask) == (
             fast.golden, fast.sampled, fast.bitmask)
 
@@ -262,8 +267,3 @@ class TestBackendSelection:
             make_timing_backend("gpu", netlist, clock_ps=500.0,
                                 delay_factor=1.3)
 
-    def test_cache_key_is_backend_sensitive(self):
-        base = dict(points=[VR15, VR20], seed=3, samples=100)
-        event_key = cache_key("IA", backend="event", **base)
-        fast_key = cache_key("IA", backend="bitparallel", **base)
-        assert event_key != fast_key

@@ -150,19 +150,20 @@ class TestDta:
         assert harsh >= mild
         assert harsh > 0.0
 
-    def test_analyze_sequence_compat_wrapper(self, adder8):
-        """The deprecated dict-based wrappers still delegate correctly."""
+    def test_stream_first_vector_only_initialises_state(self, adder8):
+        """N back-to-back vectors give N-1 outcomes, one per transition."""
         clock = StaticTimingAnalysis(adder8).critical_delay()
         dta = DynamicTimingAnalysis(adder8, clock, 1.3)
         vectors = [_adder_inputs(8, i, i + 1) for i in range(5)]
-        outcomes = dta.analyze_sequence(vectors)
-        assert len(outcomes) == 4
         prev_words, cur_words, count = stream_words(adder8, vectors)
-        batch = dta.analyze_batch(prev_words, cur_words, count=count)
-        assert [o.bitmask for o in outcomes] == list(batch.bitmask)
-        pair = dta.analyze_transition(vectors[0], vectors[1])
-        assert pair.golden == outcomes[0].golden
-        assert pair.bitmask == outcomes[0].bitmask
+        assert count == 4
+        outcomes = dta.analyze_batch(prev_words, cur_words,
+                                     count=count).outcomes()
+        pairs = [_analyze_pair(dta, vectors[j], vectors[j + 1])
+                 for j in range(count)]
+        assert [(o.golden, o.bitmask) for o in outcomes] == [
+            (p.golden, p.bitmask) for p in pairs]
+        assert stream_words(adder8, vectors[:1])[2] == 0
 
     def test_rejects_speedup_factor(self, adder8):
         with pytest.raises(ValueError):
