@@ -38,18 +38,19 @@ Three mechanisms, composable and individually disableable:
    detected on load, counted (``characterize.cache.invalid``) and
    recomputed.
 
-Two serial-path optimisations ride along (both proof-backed, both
-applied identically for every worker/chunk combination):
+Two proof-backed optimisations live in :meth:`repro.fpu.unit.FPU.dta`
+for every caller; this engine applies them identically for every
+worker/chunk combination:
 
 - **Clean-op short-circuit**: :meth:`TimingModel.is_error_free` proves,
   from the calibrated slack curves alone, that some (op, point) pairs
   cannot produce a nonzero mask (all path classes keep positive slack).
-  Units for such pairs are never created; their all-zero results are
+  Units with no :meth:`TimingModel.live_points` are never created, so
+  their operands are not even generated; their all-zero results are
   synthesised during reduction.
 - **Cache blocking**: chunks default to
-  :data:`repro.fpu.unit.DEFAULT_DTA_BATCH` so the vectorised mask
-  builders' uint64 temporaries stay L2-resident, which measures
-  ~1.7-2x faster than full-batch evaluation on its own.
+  :data:`repro.fpu.unit.DEFAULT_DTA_BATCH`, as in ``FPU.dta``, so the
+  vectorised mask builders' uint64 temporaries stay L2-resident.
 
 Peak memory is bounded by the chunk size: full operand arrays are never
 materialised for IA/DA characterisation (blocks are generated, sliced
@@ -400,9 +401,7 @@ class _IaJob:
         self.seed = seed
         self.stream_root = stream_root
         self.active: Dict[FpOp, List[OperatingPoint]] = {
-            op: [p for p in self.points
-                 if not timing_model.is_error_free(op, p)]
-            for op in op_list
+            op: timing_model.live_points(op, self.points) for op in op_list
         }
         self.units: List[Tuple[int, int, int]] = []
         for index, op in enumerate(op_list):
@@ -479,7 +478,7 @@ class _DaJob:
         self.units: List[Tuple[int, int, int, int]] = []
         for pi, point in enumerate(self.points):
             for ei, (op, _, _) in enumerate(self.pool):
-                if timing_model.is_error_free(op, point):
+                if not timing_model.live_points(op, [point]):
                     telemetry.count("characterize.pipeline.clean_ops")
                     continue
                 for lo, hi in _ranges(self.takes[ei], chunk):
@@ -530,8 +529,7 @@ class _WaJob:
             take = min(a.size, max_samples)
             self.entries.append((op, a[:take],
                                  b[:take] if b is not None else None, take))
-            self.active.append([p for p in self.points
-                                if not timing_model.is_error_free(op, p)])
+            self.active.append(timing_model.live_points(op, self.points))
         self.units: List[Tuple[int, int, int]] = []
         for ei, (op, _, _, take) in enumerate(self.entries):
             if not self.active[ei]:
@@ -602,8 +600,7 @@ class _ArrayJob:
         self.a = np.asarray(a, dtype=np.uint64)
         self.b = None if b is None else np.asarray(b, dtype=np.uint64)
         self.points = list(points)
-        self.active = [p for p in self.points
-                       if not timing_model.is_error_free(op, p)]
+        self.active = timing_model.live_points(op, self.points)
         self.want = want
         self.units = _ranges(self.a.size, chunk) if self.active else []
 

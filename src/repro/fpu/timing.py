@@ -273,14 +273,20 @@ class TimingModel:
         Holds exactly when every contributing path class keeps positive
         slack (``k_star == inf``) at the point's threshold: each mask
         builder contributes nothing under that condition, for *any*
-        operand data.  The characterization pipeline uses this to skip
-        DTA entirely for (op, point) pairs that cannot fail — e.g. all
-        single-precision instructions and the conversions at the paper's
-        VR15/VR20 levels.
+        operand data.  ``FPU.dta`` skips mask building for (op, point)
+        pairs that cannot fail — e.g. all single-precision instructions
+        and the conversions at the paper's VR15/VR20 levels — and the
+        characterization pipeline their operand generation too.
         """
         threshold = self.threshold(point)
         return all(math.isinf(params.k_star(threshold))
                    for params in self._path_classes(op))
+
+    def live_points(self, op: FpOp, points: Sequence[OperatingPoint]
+                    ) -> List[OperatingPoint]:
+        """The ``points`` at which ``op`` is not provably error-free."""
+        return [point for point in points
+                if not self.is_error_free(op, point)]
 
     # -- main entry point -----------------------------------------------------------
     def error_masks(self, op: FpOp, a: np.ndarray,
@@ -293,6 +299,7 @@ class TimingModel:
         The stage signals are extracted once and evaluated against each
         point's threshold — the vector analogue of re-running the scaled
         gate-level simulation instance per voltage (Section III.A.1).
+        It never skips a clean point: the oracle for ``is_error_free``.
         """
         a = np.asarray(a, dtype=np.uint64)
         if golden is None:

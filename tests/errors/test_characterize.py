@@ -7,6 +7,7 @@ from repro.circuit.liberty import VR15, VR20
 from repro.circuit.builder import build_adder
 from repro.circuit.sta import StaticTimingAnalysis
 from repro.errors.characterize import (
+    _per_bit_counts,
     characterize_da,
     characterize_gate,
     characterize_ia,
@@ -14,7 +15,11 @@ from repro.errors.characterize import (
     random_operands,
     random_vector_words,
 )
+from repro.errors.ia import IaModel, InstructionStats
+from repro.fpu import ops
 from repro.fpu.formats import ALL_OPS, FpOp
+from repro.fpu.timing import DEFAULT_MODEL
+from repro.fpu.unit import DEFAULT_DTA_BATCH
 from repro.utils.rng import RngStream
 
 
@@ -149,6 +154,108 @@ class TestCharacterizeWa:
             for idx, mask in zip(tf.indices[:10], tf.bitmasks[:10]):
                 assert masks[idx] == mask
             break
+
+
+# -- whole-batch oracle ---------------------------------------------------------
+# The serial drivers as they were before FPU.dta chunked its operands and
+# skipped provably clean points: one golden and one error_masks call over
+# the whole batch, every point evaluated.
+
+def _oracle_masks(op, a, b, points):
+    golden = ops.golden(op, a, b)
+    return DEFAULT_MODEL.error_masks(op, a, b, points, golden=golden)
+
+
+def _oracle_ia(points, samples_per_op, seed):
+    rng = RngStream(seed, "ia-characterization")
+    stats = {point.name: {} for point in points}
+    for op in ALL_OPS:
+        a, b = random_operands(op, samples_per_op, rng.child(op.value))
+        masks = _oracle_masks(op, a, b, points)
+        for point in points:
+            faulty = masks[point.name][masks[point.name] != 0]
+            counts = _per_bit_counts(faulty, op.fmt.width)
+            conditional = (counts / faulty.size) if faulty.size else (
+                np.zeros(op.fmt.width))
+            stats[point.name][op] = InstructionStats(
+                error_ratio=faulty.size / samples_per_op,
+                bit_probabilities=conditional,
+                sample_size=samples_per_op,
+            )
+    return IaModel(stats)
+
+
+def _oracle_da(profiles, points, sample_per_point, seed):
+    rng = RngStream(seed, "da-characterization")
+    pool = [(op, a, b) for profile in profiles
+            for op, (a, b) in profile.trace_by_op.items() if a.size]
+    total_weight = sum(a.size for _, a, _ in pool)
+    ratios = {}
+    for point in points:
+        faulty = analysed = 0
+        for op, a, b in pool:
+            take = max(1, int(round(sample_per_point * a.size
+                                    / total_weight)))
+            take = min(take, a.size)
+            sel = rng.integers(0, a.size, size=take)
+            masks = _oracle_masks(op, a[sel],
+                                  b[sel] if b is not None else None, [point])
+            faulty += int(np.count_nonzero(masks[point.name]))
+            analysed += take
+        ratios[point.name] = faulty / analysed
+    return ratios
+
+
+def _oracle_wa(profile, points, max_samples=1_000_000):
+    faults = {point.name: {} for point in points}
+    for op, (a, b) in profile.trace_by_op.items():
+        if a.size == 0:
+            continue
+        take = min(a.size, max_samples)
+        masks = _oracle_masks(op, a[:take],
+                              b[:take] if b is not None else None, points)
+        for point in points:
+            mask = masks[point.name]
+            idx = np.nonzero(mask)[0].astype(np.int64)
+            faults[point.name][op] = (
+                idx, mask[idx].astype(np.uint64),
+                _per_bit_counts(mask[idx], op.fmt.width) / take)
+    return faults
+
+
+class TestSerialModelsMatchWholeBatchOracle:
+    """The serial IA/DA/WA models are byte-identical to whole-batch DTA."""
+
+    def test_ia_over_three_chunks(self, fpu):
+        samples = 30_000
+        assert 2 * DEFAULT_DTA_BATCH < samples <= 3 * DEFAULT_DTA_BATCH
+        model = characterize_ia([VR15, VR20], fpu=fpu,
+                                samples_per_op=samples, seed=5)
+        assert model.to_dict() == _oracle_ia([VR15, VR20], samples,
+                                             5).to_dict()
+
+    def test_da_over_two_profiles(self, fpu, tiny_profiles):
+        profiles = [tiny_profiles["kmeans"], tiny_profiles["srad_v1"]]
+        model = characterize_da(profiles, [VR15, VR20], fpu=fpu,
+                                sample_per_point=20_000, seed=5)
+        oracle = _oracle_da(profiles, [VR15, VR20], 20_000, 5)
+        assert oracle["VR20"] > 0
+        assert model.fixed_error_ratios == oracle
+
+    @pytest.mark.parametrize("name", ["kmeans", "srad_v1"])
+    def test_wa(self, wa_models, tiny_profiles, name):
+        """kmeans fits one chunk; srad_v1's mul.d trace spans two."""
+        model = wa_models[name]
+        oracle = _oracle_wa(tiny_profiles[name], [VR15, VR20])
+        assert sum(idx.size for idx, _, _ in oracle["VR20"].values()) > 0
+        assert set(model.faults) == set(oracle)
+        for point_name, per_op in oracle.items():
+            assert set(model.faults[point_name]) == set(per_op)
+            for op, (idx, bitmasks, ber) in per_op.items():
+                tf = model.faults[point_name][op]
+                assert tf.indices.tobytes() == idx.tobytes()
+                assert tf.bitmasks.tobytes() == bitmasks.tobytes()
+                assert tf.ber.tobytes() == ber.tobytes()
 
 
 class TestCharacterizeGate:

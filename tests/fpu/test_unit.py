@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuit.liberty import NOMINAL, VR15, VR20
+from repro.circuit.variation import StressCondition
+from repro.errors.characterize import random_operands
 from repro.fpu import ops
 from repro.fpu.formats import (
     ALL_OPS,
@@ -12,8 +14,10 @@ from repro.fpu.formats import (
     FpOp,
     op_by_mnemonic,
 )
-from repro.fpu.unit import FPU
+from repro.fpu.timing import DEFAULT_MODEL
+from repro.fpu.unit import DEFAULT_DTA_BATCH, FPU
 from repro.utils.ieee754 import float_to_bits64, floats_to_bits64
+from repro.utils.rng import RngStream
 
 
 class TestFormats:
@@ -83,3 +87,70 @@ class TestFpuFacade:
         point = fpu.operating_point(0.15)
         assert point.name == "VR15"
         assert point.voltage == pytest.approx(VR15.voltage)
+
+
+#: Hot enough that most single-precision ops become live too.
+STRESS = StressCondition(voltage_reduction=0.2, years=10, temperature_c=100,
+                         overclock=1.1).operating_point()
+POINT_SETS = {
+    "nom": [NOMINAL],
+    "vr15+vr20": [VR15, VR20],
+    "nom+vr15+vr20": [NOMINAL, VR15, VR20],
+    "stress": [STRESS],
+}
+CHUNK = DEFAULT_DTA_BATCH
+SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+
+
+class TestDtaDifferential:
+    """``FPU.dta`` (chunked, clean points skipped) equals the oracle.
+
+    The oracle is the whole-array evaluation with no short-circuit:
+    ``ops.golden`` plus ``DEFAULT_MODEL.error_masks`` over every point.
+    """
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        return {op: random_operands(op, max(SIZES), RngStream(7, op.value))
+                for op in ALL_OPS}
+
+    @pytest.mark.parametrize("points", list(POINT_SETS.values()),
+                             ids=list(POINT_SETS))
+    @pytest.mark.parametrize("op", ALL_OPS, ids=lambda o: o.value)
+    def test_matches_whole_array_oracle(self, fpu, operands, op, points):
+        full_a, full_b = operands[op]
+        for size in SIZES:
+            a = full_a[:size]
+            b = full_b[:size] if full_b is not None else None
+            golden = ops.golden(op, a, b)
+            oracle = DEFAULT_MODEL.error_masks(op, a, b, points,
+                                               golden=golden)
+            batch = fpu.dta(op, a, b, points)
+            arrays = [batch.golden] + list(batch.masks.values())
+            for array in arrays:
+                assert array.dtype == np.uint64
+                assert array.flags.c_contiguous
+            assert batch.golden.tobytes() == golden.tobytes(), size
+            assert list(batch.masks) == list(oracle)
+            for name, mask in oracle.items():
+                assert batch.masks[name].tobytes() == mask.tobytes(), (
+                    size, name)
+            masks = list(batch.masks.values())
+            for i, mask in enumerate(masks):
+                for other in masks[i + 1:]:
+                    assert not np.shares_memory(mask, other)
+
+    def test_nominal_is_clean_evaluates_the_model(self, fpu, monkeypatch):
+        """The invariant check runs ``error_masks`` even though NOMINAL
+        is provably clean and ``dta`` would skip it."""
+        calls = []
+        error_masks = type(DEFAULT_MODEL).error_masks
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return error_masks(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(DEFAULT_MODEL), "error_masks", counting)
+        a, b = random_operands(FpOp.MUL_D, 100, RngStream(7, "nominal"))
+        assert fpu.nominal_is_clean(FpOp.MUL_D, a, b)
+        assert calls == [FpOp.MUL_D]

@@ -176,6 +176,22 @@ class TestJsonlSink:
         assert "no data" in summary_table(telemetry.snapshot())
 
 
+class TestCharacterizationCounters:
+    def test_dta_counts_proved_clean_pairs(self):
+        """At VR15 + VR20, 8 ops are provably clean at both points and
+        fp.add.d at VR15 too; FPU.dta skips and counts those pairs."""
+        from repro.circuit.liberty import VR15, VR20
+        from repro.errors.characterize import characterize_ia
+        from repro.fpu.formats import ALL_OPS
+
+        samples = 500
+        telemetry.enable()
+        characterize_ia([VR15, VR20], samples_per_op=samples, seed=3)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["fpu.dta.vectors"] == len(ALL_OPS) * samples
+        assert counters["fpu.dta.clean_points"] == (8 * 2 + 1) * samples
+
+
 class TestCampaignIntegration:
     def test_serial_campaign_populates_counters(self, tiny_runners,
                                                 wa_models, monkeypatch):
