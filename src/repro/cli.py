@@ -67,32 +67,10 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _make_pipeline(args) -> "CharacterizationPipeline | None":
-    """Build the parallel characterization pipeline from CLI flags.
-
-    No pipeline flag at all keeps the legacy serial path (byte-stable
-    model output); any of ``--workers`` / ``--chunk`` / ``--cache-dir``
-    routes characterisation through :mod:`repro.errors.pipeline`.
-    """
-    if args.workers is None and args.chunk is None and not args.cache_dir:
-        return None
-    from repro.fpu.unit import DEFAULT_DTA_BATCH
-
-    config = PipelineConfig(
-        workers=args.workers or 0,
-        chunk=args.chunk if args.chunk is not None else DEFAULT_DTA_BATCH,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        use_cache=bool(args.cache_dir) and not args.no_cache,
-    )
-    return CharacterizationPipeline(config)
-
-
 def _cmd_characterize(args) -> int:
-    from repro.fpu.unit import FPU
-
     points = _points_for(args.vr)
-    pipeline = _make_pipeline(args)
-    fpu = FPU()
+    pipeline = CharacterizationPipeline(PipelineConfig(
+        workers=args.workers, cache_dir=args.cache_dir))
     workload = make_workload(args.benchmark, scale=args.scale,
                              seed=args.seed)
     runner = CampaignRunner(workload, seed=args.seed)
@@ -102,25 +80,25 @@ def _cmd_characterize(args) -> int:
 
     if args.model in ("wa", "all"):
         path = store.save_wa(
-            characterize_wa(profile, points, fpu=fpu, pipeline=pipeline),
+            characterize_wa(profile, points, pipeline=pipeline),
             out_dir / f"wa_{args.benchmark}.json")
         print(f"wrote {path}")
     if args.model in ("ia", "all"):
         path = store.save_ia(
-            characterize_ia(points, fpu=fpu, samples_per_op=args.samples,
+            characterize_ia(points, samples_per_op=args.samples,
                             seed=args.seed, pipeline=pipeline),
             out_dir / "ia.json",
         )
         print(f"wrote {path}")
     if args.model in ("da", "all"):
         path = store.save_da(
-            characterize_da([profile], points, fpu=fpu,
+            characterize_da([profile], points,
                             sample_per_point=args.samples, seed=args.seed,
                             pipeline=pipeline),
             out_dir / "da.json",
         )
         print(f"wrote {path}")
-    if pipeline is not None and pipeline.cache is not None:
+    if pipeline.cache is not None:
         stats = pipeline.cache.stats()
         print(f"cache: {stats['hit']} hit(s), {stats['miss']} miss(es), "
               f"{stats['invalid']} invalid at {pipeline.cache.root}")
@@ -758,20 +736,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=2021)
     p.add_argument("--output", default="artifacts")
-    p.add_argument("--workers", type=int, default=None,
-                   help="characterization worker processes "
-                        "(unset = legacy serial path; 0 = pipeline, "
-                        "in-process)")
-    p.add_argument("--chunk", type=int, default=None,
-                   help="operand chunk size streamed through DTA "
-                        "(bounds peak memory; result is bit-identical "
-                        "for any value)")
+    p.add_argument("--workers", type=int, default=0,
+                   help="characterization worker processes (0 = "
+                        "in-process; any count gives the same models)")
     p.add_argument("--cache-dir", default=None,
                    help="content-addressed model cache directory; "
                         "repeat runs with identical inputs are near-free")
-    p.add_argument("--no-cache", action="store_true",
-                   help="compute fresh even when --cache-dir is set "
-                        "(entries are still not rewritten)")
 
     p = sub.add_parser("campaign", help="run an injection campaign")
     p.add_argument("benchmark", choices=sorted(WORKLOADS))

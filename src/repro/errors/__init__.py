@@ -7,10 +7,10 @@
 - :mod:`repro.errors.wa` — the proposed instruction- and workload-aware
   model backed by trace-level dynamic timing analysis,
 - :mod:`repro.errors.characterize` — the model-development phase drivers
-  that build all three from DTA (the serial reference implementation),
-- :mod:`repro.errors.pipeline` — the parallel, content-addressed
-  characterization engine (worker pool, chunk-invariant RNG blocks,
-  on-disk model cache).
+  that build all three from DTA, and the operand generators,
+- :mod:`repro.errors.pipeline` — the one characterization engine behind
+  those drivers (worker pool, one operand stream per model, on-disk
+  model cache).
 """
 
 from repro.errors.base import (

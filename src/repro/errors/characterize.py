@@ -1,8 +1,9 @@
 """Model-development phase: build the three error models from DTA.
 
-Mirrors Fig. 2's left half.  All characterisation goes through the same
-:class:`repro.fpu.unit.FPU` DTA backend; the models differ only in what
-operands they feed it (the point of the paper):
+Mirrors Fig. 2's left half.  The ``characterize_*`` drivers run on the
+one engine in :mod:`repro.errors.pipeline`, which feeds every operand
+chunk through :meth:`repro.fpu.unit.FPU.dta`; the models differ only in
+what operands they feed it (the point of the paper):
 
 - DA: operands randomly extracted from the benchmark mix, collapsed to one
   fixed number per voltage,
@@ -13,7 +14,7 @@ operands they feed it (the point of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,12 +25,12 @@ from repro.circuit.backend import (
 )
 from repro.circuit.liberty import OperatingPoint
 from repro.circuit.netlist import Netlist
-from repro.errors.base import Provenance, WorkloadProfile
+from repro.errors.base import WorkloadProfile
 from repro.errors.da import DaModel
-from repro.errors.ia import IaModel, InstructionStats
-from repro.errors.wa import TraceFaults, WaModel
+from repro.errors.ia import IaModel
+from repro.errors.wa import WaModel
 from repro.fpu import ops
-from repro.fpu.formats import ALL_OPS, FpOp
+from repro.fpu.formats import FpOp
 from repro.fpu.unit import FPU
 from repro.utils.rng import RngStream
 from repro import telemetry
@@ -182,12 +183,17 @@ def characterize_gate(netlist: Netlist, clock_ps: float,
 
 def _per_bit_counts(masks: np.ndarray, width: int) -> np.ndarray:
     """Count, per bit position, how many masks flip it."""
-    counts = np.zeros(width, dtype=np.int64)
-    if masks.size == 0:
-        return counts
-    for bit in range(width):
-        counts[bit] = int(np.count_nonzero((masks >> np.uint64(bit)) & np.uint64(1)))
-    return counts
+    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(octets, bitorder="little").reshape(-1, 64)
+    return bits[:, :width].sum(axis=0, dtype=np.int64)
+
+
+def _engine(pipeline: Optional["CharacterizationPipeline"],
+            fpu: Optional[FPU]) -> "CharacterizationPipeline":
+    # Imported here: the pipeline builds on this module's primitives.
+    from repro.errors.pipeline import CharacterizationPipeline
+
+    return pipeline or CharacterizationPipeline(fpu=fpu)
 
 
 @telemetry.timed("characterize.ia")
@@ -204,44 +210,13 @@ def characterize_ia(points: Sequence[OperatingPoint],
     per instruction type and VR level) via
     :meth:`repro.errors.ia.InstructionStats.unconditional_ber`.
 
-    With ``pipeline`` given, delegates to the parallel, cache-aware
-    engine of :mod:`repro.errors.pipeline` (chunk-invariant RNG-block
-    operand streams; statistically equivalent to, but a different
-    sample stream than, this serial reference).
+    Runs on ``pipeline`` when given (worker pool, model cache), else on
+    an in-process :class:`~repro.errors.pipeline.CharacterizationPipeline`
+    over ``fpu``; the model is the same either way.
     """
-    if pipeline is not None:
-        return pipeline.characterize_ia(
-            points, samples_per_op=samples_per_op, seed=seed,
-            ops_under_test=ops_under_test)
-    fpu = fpu or FPU()
-    rng = RngStream(seed, "ia-characterization")
-    stats: Dict[str, Dict[FpOp, InstructionStats]] = {
-        point.name: {} for point in points
-    }
-    for op in (ops_under_test or ALL_OPS):
-        with telemetry.span("characterize.ia.op", op=op.value):
-            a, b = random_operands(op, samples_per_op, rng.child(op.value))
-            batch = fpu.dta(op, a, b, points)
-        telemetry.count("characterize.ia.samples", samples_per_op)
-        for point in points:
-            masks = batch.masks[point.name]
-            faulty = masks[masks != 0]
-            ratio = faulty.size / samples_per_op
-            counts = _per_bit_counts(faulty, op.fmt.width)
-            conditional = (counts / faulty.size) if faulty.size else (
-                np.zeros(op.fmt.width)
-            )
-            stats[point.name][op] = InstructionStats(
-                error_ratio=ratio,
-                bit_probabilities=conditional,
-                sample_size=samples_per_op,
-            )
-    model = IaModel(stats)
-    model.provenance = Provenance(
-        seed=seed, samples=samples_per_op,
-        points=tuple(point.name for point in points),
-    )
-    return model
+    return _engine(pipeline, fpu).characterize_ia(
+        points, samples_per_op=samples_per_op, seed=seed,
+        ops_under_test=ops_under_test)
 
 
 @telemetry.timed("characterize.da")
@@ -258,41 +233,8 @@ def characterize_da(profiles: Sequence[WorkloadProfile],
     considered benchmarks (their recorded traces), DTA measures the mean
     error ratio, and that single number becomes the model.
     """
-    if pipeline is not None:
-        return pipeline.characterize_da(
-            profiles, points, sample_per_point=sample_per_point, seed=seed)
-    fpu = fpu or FPU()
-    rng = RngStream(seed, "da-characterization")
-    ratios: Dict[str, float] = {}
-    pool: List[Tuple[FpOp, np.ndarray, Optional[np.ndarray]]] = []
-    for profile in profiles:
-        for op, (a, b) in profile.trace_by_op.items():
-            if a.size:
-                pool.append((op, a, b))
-    if not pool:
-        raise ValueError("DA characterisation needs at least one non-empty trace")
-    total_weight = sum(a.size for _, a, _ in pool)
-    for point in points:
-        faulty = 0
-        analysed = 0
-        for op, a, b in pool:
-            take = max(1, int(round(sample_per_point * a.size / total_weight)))
-            take = min(take, a.size)
-            sel = rng.integers(0, a.size, size=take)
-            aa = a[sel]
-            bb = b[sel] if b is not None else None
-            batch = fpu.dta(op, aa, bb, [point])
-            faulty += int(np.count_nonzero(batch.masks[point.name]))
-            analysed += take
-        telemetry.count("characterize.da.samples", analysed)
-        ratios[point.name] = faulty / analysed if analysed else 0.0
-    model = DaModel(ratios)
-    model.provenance = Provenance(
-        benchmark="+".join(profile.name for profile in profiles),
-        seed=seed, samples=sample_per_point,
-        points=tuple(point.name for point in points),
-    )
-    return model
+    return _engine(pipeline, fpu).characterize_da(
+        profiles, points, sample_per_point=sample_per_point, seed=seed)
 
 
 @telemetry.timed("characterize.wa")
@@ -309,43 +251,6 @@ def characterize_wa(profile: WorkloadProfile,
     extracted from the executed workload; we analyse the recorded trace up
     to ``max_samples`` per type.  The per-bit BER arrays captured here are
     the Fig. 8 series.
-
-    With ``pipeline`` given, delegates to the parallel, cache-aware
-    engine; WA characterisation draws no random numbers, so the pipeline
-    result is bit-identical to this serial reference for any worker
-    count and chunk size.
     """
-    if pipeline is not None:
-        return pipeline.characterize_wa(
-            profile, points, max_samples=max_samples,
-            burst_window=burst_window)
-    fpu = fpu or FPU()
-    faults: Dict[str, Dict[FpOp, TraceFaults]] = {
-        point.name: {} for point in points
-    }
-    for op, (a, b) in profile.trace_by_op.items():
-        if a.size == 0:
-            continue
-        take = min(a.size, max_samples)
-        aa = a[:take]
-        bb = b[:take] if b is not None else None
-        telemetry.count("characterize.wa.samples", take)
-        batch = fpu.dta(op, aa, bb, points)
-        for point in points:
-            masks = batch.masks[point.name]
-            idx = np.nonzero(masks)[0].astype(np.int64)
-            counts = _per_bit_counts(masks[idx], op.fmt.width)
-            faults[point.name][op] = TraceFaults(
-                op=op,
-                indices=idx,
-                bitmasks=masks[idx].astype(np.uint64),
-                analysed=take,
-                ber=counts / take,
-            )
-    model = WaModel(workload=profile.name, faults=faults,
-                    burst_window=burst_window)
-    model.provenance = Provenance(
-        benchmark=profile.name, samples=max_samples,
-        points=tuple(point.name for point in points),
-    )
-    return model
+    return _engine(pipeline, fpu).characterize_wa(
+        profile, points, max_samples=max_samples, burst_window=burst_window)

@@ -2,11 +2,11 @@
 
 The model-development phase (Fig. 2, left half) is the framework's hot
 path: DA/IA/WA characterisation runs DTA over up to 1 M operands per
-instruction type per benchmark.  This module is the production engine for
-that phase; :mod:`repro.errors.characterize` remains the straightforward
-serial reference implementation the differential tests compare against.
+instruction type per benchmark.  This module is the one engine for that
+phase; the ``characterize_*`` drivers in :mod:`repro.errors.characterize`
+delegate to it.
 
-Three mechanisms, composable and individually disableable:
+Three mechanisms:
 
 1. **Work-unit decomposition + worker pool.**  Characterisation splits
    into units ``(op | trace entry | point, sample range)`` which a pool
@@ -18,43 +18,29 @@ Three mechanisms, composable and individually disableable:
    Reductions are order-fixed sums/concatenations, so **any worker count
    produces bit-identical models**.
 
-2. **Chunk-invariant determinism.**  Random draws never depend on chunk
-   geometry: operand streams are generated in fixed blocks of
-   ``RNG_BLOCK`` samples, each from its own named
-   :class:`~repro.utils.rng.RngStream` substream
-   (``<root>/<op>/b<block>``).  A unit covering samples ``[lo, hi)``
-   regenerates the overlapping blocks and slices, so **any chunk size
+2. **One operand stream per model.**  IA operands of an op always come
+   from the sequential stream ``ia-characterization/<op>``, DA trace
+   selections from the sequential stream ``da-characterization``.  A
+   unit covering samples ``[lo, hi)`` slices them out of the full stream,
+   which its job regenerates once per process and memoises (one op's
+   operand arrays at a time; dropped with the job), so **any chunk size
    produces bit-identical models** too.  WA characterisation draws no
-   random numbers at all and is additionally bit-identical to the
-   serial reference in :func:`repro.errors.characterize.characterize_wa`.
+   random numbers at all.
 
 3. **Content-addressed model cache.**  ``PipelineConfig.cache_dir``
    enables an on-disk cache of finished models layered on
    :mod:`repro.errors.store` artifacts.  The key is a SHA-256 over every
    input that determines the result: model kind, op set, operating
    points, seed, sample budget, trace digest, burst window, the store
-   ``format_version``, ``RNG_BLOCK`` and the pipeline version — change
-   any component and the key changes.  Corrupt or stale entries are
-   detected on load, counted (``characterize.cache.invalid``) and
-   recomputed.
+   ``format_version`` and the pipeline version — change any component
+   and the key changes.  Corrupt or stale entries are detected on load,
+   counted (``characterize.cache.invalid``) and recomputed.
 
-Two proof-backed optimisations live in :meth:`repro.fpu.unit.FPU.dta`
-for every caller; this engine applies them identically for every
-worker/chunk combination:
-
-- **Clean-op short-circuit**: :meth:`TimingModel.is_error_free` proves,
-  from the calibrated slack curves alone, that some (op, point) pairs
-  cannot produce a nonzero mask (all path classes keep positive slack).
-  Units with no :meth:`TimingModel.live_points` are never created, so
-  their operands are not even generated; their all-zero results are
-  synthesised during reduction.
-- **Cache blocking**: chunks default to
-  :data:`repro.fpu.unit.DEFAULT_DTA_BATCH`, as in ``FPU.dta``, so the
-  vectorised mask builders' uint64 temporaries stay L2-resident.
-
-Peak memory is bounded by the chunk size: full operand arrays are never
-materialised for IA/DA characterisation (blocks are generated, sliced
-and dropped), only per-bit counters and fault lists survive a unit.
+Every chunk goes through :meth:`repro.fpu.unit.FPU.dta`, which is
+cache-blocked and skips the points :meth:`TimingModel.is_error_free`
+proves clean; that proof is applied there and nowhere else.  Chunks
+default to :data:`repro.fpu.unit.DEFAULT_DTA_BATCH`, and only per-bit
+counters and fault lists survive a unit.
 """
 
 from __future__ import annotations
@@ -85,23 +71,15 @@ from repro.errors.characterize import (
     _per_bit_counts,
     random_operands,
 )
-from repro.fpu import ops
 from repro.fpu.formats import ALL_OPS, FpOp
-from repro.fpu.timing import TimingModel
 from repro.fpu.unit import DEFAULT_DTA_BATCH, FPU
 from repro.utils.bitops import count_ones
 from repro.utils.rng import RngStream
 from repro import telemetry
 
-#: Fixed operand-generation granularity.  Sample index ``i`` of an op's
-#: stream always comes from block ``i // RNG_BLOCK`` of that op's named
-#: substream, independent of how samples are chunked into work units —
-#: the invariant behind chunk-size-independent bit-identity.
-RNG_BLOCK = 4096
-
 #: Bumped whenever the pipeline's sampling scheme changes in a way that
 #: alters results; part of every cache key.
-PIPELINE_VERSION = 1
+PIPELINE_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -114,12 +92,11 @@ class PipelineError(RuntimeError):
 class PipelineConfig:
     """Knobs of the characterization engine.
 
-    ``workers=0`` (default) computes units serially in-process — still
-    chunked and short-circuited, and bit-identical to any pool size.
-    ``chunk`` bounds the operand count per unit (``None`` = one unit per
-    op/trace entry).  ``cache_dir`` enables the content-addressed model
-    cache; ``use_cache=False`` bypasses it without losing the directory
-    plumbing (the CLI's ``--no-cache``).
+    ``workers=0`` (default) computes units serially in-process,
+    bit-identical to any pool size.  ``chunk`` bounds the operand count
+    per unit (``None`` = one unit per op/trace entry); every value gives
+    the same model.  ``cache_dir`` enables the content-addressed model
+    cache.
 
     ``min_fanout_vectors`` keeps small jobs off the fork pool: below
     that many total operand vectors the fork + pipe overhead (~5-10 ms
@@ -131,7 +108,6 @@ class PipelineConfig:
     workers: int = 0
     chunk: Optional[int] = DEFAULT_DTA_BATCH
     cache_dir: Optional[PathLike] = None
-    use_cache: bool = True
     min_fanout_vectors: int = 262_144
 
     def __post_init__(self):
@@ -182,14 +158,12 @@ def cache_key(kind: str, *,
     Every input that determines the result participates: changing the
     model kind, op set, any operating point, the seed, the sample
     budget, the trace digest, the burst window, the artifact
-    ``format_version``, the RNG block size or the pipeline version
-    yields a different key.
+    ``format_version`` or the pipeline version yields a different key.
     """
     payload = {
         "kind": kind,
         "format_version": store.FORMAT_VERSION,
         "pipeline_version": PIPELINE_VERSION,
-        "rng_block": RNG_BLOCK,
         "points": [_point_key(point) for point in points],
         "ops": ([op.value for op in op_set] if op_set is not None else None),
         "seed": seed,
@@ -319,7 +293,7 @@ class ModelCache:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic block-based sample streams
+# Work-unit jobs (fork-inherited by workers; units are small index tuples)
 # ---------------------------------------------------------------------------
 
 def _ranges(total: int, chunk: Optional[int]) -> List[Tuple[int, int]]:
@@ -331,95 +305,43 @@ def _ranges(total: int, chunk: Optional[int]) -> List[Tuple[int, int]]:
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
-def _block_operands(op: FpOp, lo: int, hi: int, seed: int,
-                    stream_root: str
-                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Operands for sample indices ``[lo, hi)`` of an op's IA stream.
-
-    Whole ``RNG_BLOCK``-sized blocks are always generated (each from its
-    own substream) and sliced, so the values at a given sample index are
-    invariant to the requested range — the chunk-independence proof
-    obligation of the differential tests.
-    """
-    parts_a: List[np.ndarray] = []
-    parts_b: List[np.ndarray] = []
-    two = op.has_two_operands
-    for block in range(lo // RNG_BLOCK, (hi - 1) // RNG_BLOCK + 1):
-        rng = RngStream(seed, f"{stream_root}/{op.value}/b{block}")
-        a, b = random_operands(op, RNG_BLOCK, rng)
-        start = max(lo - block * RNG_BLOCK, 0)
-        stop = min(hi - block * RNG_BLOCK, RNG_BLOCK)
-        parts_a.append(a[start:stop])
-        if two:
-            parts_b.append(b[start:stop])
-    a = parts_a[0] if len(parts_a) == 1 else np.concatenate(parts_a)
-    if not two:
-        return a, None
-    b = parts_b[0] if len(parts_b) == 1 else np.concatenate(parts_b)
-    return a, b
-
-
-def _block_selection(stream_name: str, seed: int, lo: int, hi: int,
-                     population: int) -> np.ndarray:
-    """Selection indices ``[lo, hi)`` of a DA sampling stream, blockwise."""
-    parts: List[np.ndarray] = []
-    for block in range(lo // RNG_BLOCK, (hi - 1) // RNG_BLOCK + 1):
-        rng = RngStream(seed, f"{stream_name}/b{block}")
-        sel = rng.integers(0, population, size=RNG_BLOCK)
-        start = max(lo - block * RNG_BLOCK, 0)
-        stop = min(hi - block * RNG_BLOCK, RNG_BLOCK)
-        parts.append(sel[start:stop])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _chunk_masks(timing_model: TimingModel, op: FpOp, a: np.ndarray,
-                 b: Optional[np.ndarray],
-                 points: Sequence[OperatingPoint]) -> Dict[str, np.ndarray]:
-    """DTA masks for one chunk, without the per-call FPU span overhead."""
-    golden = ops.golden(op, a, b)
-    masks = timing_model.error_masks(op, a, b, points, golden=golden)
-    telemetry.count("characterize.pipeline.chunks")
-    telemetry.count("characterize.pipeline.vectors", int(a.size))
-    return masks
-
-
-# ---------------------------------------------------------------------------
-# Work-unit jobs (fork-inherited by workers; units are small index tuples)
-# ---------------------------------------------------------------------------
-
 class _IaJob:
     """IA characterisation: units are (op index, sample range)."""
 
-    def __init__(self, timing_model: TimingModel,
-                 points: Sequence[OperatingPoint], op_list: List[FpOp],
-                 samples_per_op: int, seed: int, chunk: Optional[int],
-                 stream_root: str = "ia-pipeline"):
-        self.timing_model = timing_model
+    def __init__(self, fpu: FPU, points: Sequence[OperatingPoint],
+                 op_list: List[FpOp], samples_per_op: int, seed: int,
+                 chunk: Optional[int]):
+        self.fpu = fpu
         self.points = list(points)
         self.ops = op_list
         self.samples = samples_per_op
         self.seed = seed
-        self.stream_root = stream_root
-        self.active: Dict[FpOp, List[OperatingPoint]] = {
-            op: timing_model.live_points(op, self.points) for op in op_list
-        }
-        self.units: List[Tuple[int, int, int]] = []
-        for index, op in enumerate(op_list):
-            if not self.active[op]:
-                telemetry.count("characterize.pipeline.clean_ops")
-                continue
-            for lo, hi in _ranges(samples_per_op, chunk):
-                self.units.append((index, lo, hi))
+        self.units: List[Tuple[int, int, int]] = [
+            (index, lo, hi) for index in range(len(op_list))
+            for lo, hi in _ranges(samples_per_op, chunk)
+        ]
+        self._memo: Optional[tuple] = None
+
+    def _operands(self, index: int
+                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The op's full ``ia-characterization/<op>`` operand stream."""
+        if self._memo is None or self._memo[0] != index:
+            self._memo = None  # free the previous op's arrays first
+            op = self.ops[index]
+            rng = RngStream(self.seed, "ia-characterization").child(op.value)
+            self._memo = (index, *random_operands(op, self.samples, rng))
+        return self._memo[1], self._memo[2]
 
     def compute(self, unit: Tuple[int, int, int]) -> Dict[str, tuple]:
         index, lo, hi = unit
         op = self.ops[index]
-        a, b = _block_operands(op, lo, hi, self.seed, self.stream_root)
-        masks = _chunk_masks(self.timing_model, op, a, b, self.active[op])
+        a, b = self._operands(index)
+        batch = self.fpu.dta(op, a[lo:hi],
+                             b[lo:hi] if b is not None else None, self.points)
         telemetry.count("characterize.ia.samples", hi - lo)
         out = {}
-        for point in self.active[op]:
-            mask = masks[point.name]
+        for point in self.points:
+            mask = batch.masks[point.name]
             faulty = mask[mask != 0]
             out[point.name] = (int(faulty.size),
                                _per_bit_counts(faulty, op.fmt.width))
@@ -454,11 +376,10 @@ class _IaJob:
 class _DaJob:
     """DA characterisation: units are (point, pool entry, sample range)."""
 
-    def __init__(self, timing_model: TimingModel,
-                 profiles: Sequence[WorkloadProfile],
+    def __init__(self, fpu: FPU, profiles: Sequence[WorkloadProfile],
                  points: Sequence[OperatingPoint], sample_per_point: int,
                  seed: int, chunk: Optional[int]):
-        self.timing_model = timing_model
+        self.fpu = fpu
         self.points = list(points)
         self.seed = seed
         self.pool: List[Tuple[FpOp, np.ndarray, Optional[np.ndarray]]] = []
@@ -475,26 +396,32 @@ class _DaJob:
                 a.size)
             for _, a, _ in self.pool
         ]
-        self.units: List[Tuple[int, int, int, int]] = []
-        for pi, point in enumerate(self.points):
-            for ei, (op, _, _) in enumerate(self.pool):
-                if not timing_model.live_points(op, [point]):
-                    telemetry.count("characterize.pipeline.clean_ops")
-                    continue
-                for lo, hi in _ranges(self.takes[ei], chunk):
-                    self.units.append((pi, ei, lo, hi))
+        self.units: List[Tuple[int, int, int, int]] = [
+            (pi, ei, lo, hi) for pi in range(len(self.points))
+            for ei, take in enumerate(self.takes)
+            for lo, hi in _ranges(take, chunk)
+        ]
+        self._memo: Optional[List[np.ndarray]] = None
+
+    def _selection(self, pi: int, ei: int) -> np.ndarray:
+        """Trace indices of (point, entry) in the ``da-characterization``
+        stream, drawn point-major, entry-minor."""
+        if self._memo is None:
+            rng = RngStream(self.seed, "da-characterization")
+            self._memo = [rng.integers(0, a.size, size=take)
+                          for _ in self.points
+                          for (_, a, _), take in zip(self.pool, self.takes)]
+        return self._memo[pi * len(self.pool) + ei]
 
     def compute(self, unit: Tuple[int, int, int, int]) -> int:
         pi, ei, lo, hi = unit
         point = self.points[pi]
         op, a, b = self.pool[ei]
-        sel = _block_selection(f"da-pipeline/{point.name}/e{ei}/{op.value}",
-                               self.seed, lo, hi, a.size)
-        aa = a[sel]
-        bb = b[sel] if b is not None else None
-        masks = _chunk_masks(self.timing_model, op, aa, bb, [point])
+        sel = self._selection(pi, ei)[lo:hi]
+        batch = self.fpu.dta(op, a[sel], b[sel] if b is not None else None,
+                             [point])
         telemetry.count("characterize.da.samples", hi - lo)
-        return int(np.count_nonzero(masks[point.name]))
+        return int(np.count_nonzero(batch.masks[point.name]))
 
     def reduce(self, payloads: List[int]) -> DaModel:
         faulty = {point.name: 0 for point in self.points}
@@ -512,42 +439,35 @@ class _WaJob:
     """WA characterisation: units are (trace entry, sample range).
 
     Draws no random numbers; every payload is a pure function of the
-    trace slice, so the reduction reproduces the serial reference
-    bit-for-bit (fault indices ascend within and across units).
+    trace slice, and fault indices ascend within and across units.
     """
 
-    def __init__(self, timing_model: TimingModel, profile: WorkloadProfile,
+    def __init__(self, fpu: FPU, profile: WorkloadProfile,
                  points: Sequence[OperatingPoint], max_samples: int,
                  chunk: Optional[int]):
-        self.timing_model = timing_model
+        self.fpu = fpu
         self.points = list(points)
         self.entries: List[tuple] = []
-        self.active: List[List[OperatingPoint]] = []
         for op, (a, b) in profile.trace_by_op.items():
             if a.size == 0:
                 continue
             take = min(a.size, max_samples)
             self.entries.append((op, a[:take],
                                  b[:take] if b is not None else None, take))
-            self.active.append(timing_model.live_points(op, self.points))
-        self.units: List[Tuple[int, int, int]] = []
-        for ei, (op, _, _, take) in enumerate(self.entries):
-            if not self.active[ei]:
-                telemetry.count("characterize.pipeline.clean_ops")
-                continue
-            for lo, hi in _ranges(take, chunk):
-                self.units.append((ei, lo, hi))
+        self.units: List[Tuple[int, int, int]] = [
+            (ei, lo, hi) for ei, (_, _, _, take) in enumerate(self.entries)
+            for lo, hi in _ranges(take, chunk)
+        ]
 
     def compute(self, unit: Tuple[int, int, int]) -> Dict[str, tuple]:
         ei, lo, hi = unit
         op, a, b, _ = self.entries[ei]
-        aa = a[lo:hi]
-        bb = b[lo:hi] if b is not None else None
-        masks = _chunk_masks(self.timing_model, op, aa, bb, self.active[ei])
+        batch = self.fpu.dta(op, a[lo:hi],
+                             b[lo:hi] if b is not None else None, self.points)
         telemetry.count("characterize.wa.samples", hi - lo)
         out = {}
-        for point in self.active[ei]:
-            mask = masks[point.name]
+        for point in self.points:
+            mask = batch.masks[point.name]
             idx = np.nonzero(mask)[0].astype(np.int64)
             faulty = mask[idx].astype(np.uint64)
             out[point.name] = (idx + lo, faulty,
@@ -564,20 +484,14 @@ class _WaJob:
             point.name: {} for point in self.points
         }
         for ei, (op, _, _, take) in enumerate(self.entries):
-            width = op.fmt.width
             for point in self.points:
-                collected = parts.get((ei, point.name))
-                if collected:
-                    idx = np.concatenate([c[0] for c in collected])
-                    masks = np.concatenate([c[1] for c in collected])
-                    counts = sum(c[2] for c in collected)
-                else:
-                    idx = np.zeros(0, dtype=np.int64)
-                    masks = np.zeros(0, dtype=np.uint64)
-                    counts = np.zeros(width, dtype=np.int64)
+                collected = parts[(ei, point.name)]
                 faults[point.name][op] = TraceFaults(
-                    op=op, indices=idx, bitmasks=masks, analysed=take,
-                    ber=counts / take,
+                    op=op,
+                    indices=np.concatenate([c[0] for c in collected]),
+                    bitmasks=np.concatenate([c[1] for c in collected]),
+                    analysed=take,
+                    ber=sum(c[2] for c in collected) / take,
                 )
         return faults
 
@@ -587,32 +501,30 @@ class _ArrayJob:
 
     Backs the Fig. 5 / Fig. 6 drivers: the caller keeps its own operand
     stream (so results stay bit-identical to its historical output) and
-    the pipeline contributes chunking, the clean-op short-circuit and
-    the worker pool.  ``want`` selects the reductions: per-bit flip
-    counts, flip-count histograms, faulty totals.
+    the pipeline contributes chunking and the worker pool.  ``want``
+    selects the reductions: per-bit flip counts, flip-count histograms,
+    faulty totals.
     """
 
-    def __init__(self, timing_model: TimingModel, op: FpOp, a: np.ndarray,
+    def __init__(self, fpu: FPU, op: FpOp, a: np.ndarray,
                  b: Optional[np.ndarray], points: Sequence[OperatingPoint],
                  chunk: Optional[int], want: Tuple[str, ...]):
-        self.timing_model = timing_model
+        self.fpu = fpu
         self.op = op
         self.a = np.asarray(a, dtype=np.uint64)
         self.b = None if b is None else np.asarray(b, dtype=np.uint64)
         self.points = list(points)
-        self.active = timing_model.live_points(op, self.points)
         self.want = want
-        self.units = _ranges(self.a.size, chunk) if self.active else []
+        self.units = _ranges(self.a.size, chunk)
 
     def compute(self, unit: Tuple[int, int]) -> Dict[str, dict]:
         lo, hi = unit
-        aa = self.a[lo:hi]
         bb = self.b[lo:hi] if self.b is not None else None
-        masks = _chunk_masks(self.timing_model, self.op, aa, bb, self.active)
+        batch = self.fpu.dta(self.op, self.a[lo:hi], bb, self.points)
         width = self.op.fmt.width
         out = {}
-        for point in self.active:
-            mask = masks[point.name]
+        for point in self.points:
+            mask = batch.masks[point.name]
             faulty = mask[mask != 0]
             part = {}
             if "bits" in self.want:
@@ -831,23 +743,19 @@ def _map_units(job, workers: int, min_fanout_vectors: int = 0) -> List:
 # ---------------------------------------------------------------------------
 
 class CharacterizationPipeline:
-    """Parallel, cache-aware drop-in for the ``characterize_*`` drivers.
+    """The characterization engine behind the ``characterize_*`` drivers.
 
-    WA results are bit-identical to the serial reference for every
-    worker count and chunk size.  IA/DA results are bit-identical across
-    all (workers, chunk) combinations of the pipeline itself (the
-    RNG-block scheme), and statistically equivalent to — but drawn from
-    a different substream layout than — the sequential reference
-    streams in :mod:`repro.errors.characterize`.
+    Every model is bit-identical across all (workers, chunk)
+    combinations: IA/DA slice one sequential operand stream per model,
+    WA draws no random numbers.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None,
                  fpu: Optional[FPU] = None):
         self.config = config or PipelineConfig()
         self.fpu = fpu or FPU()
-        self.timing_model: TimingModel = self.fpu.timing_model
         self.cache: Optional[ModelCache] = None
-        if self.config.cache_dir is not None and self.config.use_cache:
+        if self.config.cache_dir is not None:
             self.cache = ModelCache(self.config.cache_dir)
 
     # -- cache plumbing ----------------------------------------------------------
@@ -873,14 +781,14 @@ class CharacterizationPipeline:
                         seed: int = 2021,
                         ops_under_test: Optional[Iterable[FpOp]] = None,
                         ) -> IaModel:
-        """IA model from blockwise random operands (cf. Fig. 7)."""
+        """IA model from uniform random operands per op (cf. Fig. 7)."""
         op_list = list(ops_under_test or ALL_OPS)
         key = cache_key("IA", points=points, op_set=op_list, seed=seed,
                         samples=samples_per_op)
 
         def build() -> IaModel:
-            job = _IaJob(self.timing_model, points, op_list, samples_per_op,
-                         seed, self.config.chunk)
+            job = _IaJob(self.fpu, points, op_list, samples_per_op, seed,
+                         self.config.chunk)
             model = self._run(job)
             model.provenance = Provenance(
                 seed=seed, samples=samples_per_op,
@@ -903,7 +811,7 @@ class CharacterizationPipeline:
                         samples=sample_per_point, trace=digest)
 
         def build() -> DaModel:
-            job = _DaJob(self.timing_model, profiles, points,
+            job = _DaJob(self.fpu, profiles, points,
                          sample_per_point, seed, self.config.chunk)
             model = self._run(job)
             model.provenance = Provenance(
@@ -921,14 +829,13 @@ class CharacterizationPipeline:
                         points: Sequence[OperatingPoint],
                         max_samples: int = 1_000_000,
                         burst_window: int = 8) -> WaModel:
-        """WA model over the workload's own trace; bit-identical to the
-        serial reference for any worker count and chunk size."""
+        """WA model over the workload's own trace (cf. Fig. 8)."""
         digest = trace_digest(profile)
         key = cache_key("WA", points=points, samples=max_samples,
                         trace=digest, burst_window=burst_window)
 
         def build() -> WaModel:
-            job = _WaJob(self.timing_model, profile, points, max_samples,
+            job = _WaJob(self.fpu, profile, points, max_samples,
                          self.config.chunk)
             model = WaModel(workload=profile.name, faults=self._run(job),
                             burst_window=burst_window)
@@ -951,16 +858,12 @@ class CharacterizationPipeline:
         Pure count reduction: bit-identical to a full-batch evaluation
         for any chunk size or worker count.
         """
-        job = _ArrayJob(self.timing_model, op, a, b, points,
-                        self.config.chunk, want=("bits",))
+        job = _ArrayJob(self.fpu, op, a, b, points, self.config.chunk,
+                        want=("bits",))
         reduced = self._run(job)
-        width = op.fmt.width
-        n = max(1, int(np.asarray(a).size))
-        return {
-            point.name: (reduced[point.name]["bits"] / n
-                         if point.name in reduced else np.zeros(width))
-            for point in points
-        }
+        n = max(1, int(job.a.size))
+        return {point.name: reduced[point.name]["bits"] / n
+                for point in points}
 
     def flip_histograms(self, op: FpOp, a: np.ndarray,
                         b: Optional[np.ndarray],
@@ -971,9 +874,8 @@ class CharacterizationPipeline:
         ``result[point][k]`` counts faulty instructions whose mask flips
         exactly ``k`` bits (``k >= 1``; index 0 is always zero).
         """
-        job = _ArrayJob(self.timing_model, op, a, b, points,
-                        self.config.chunk, want=("hist",))
+        job = _ArrayJob(self.fpu, op, a, b, points, self.config.chunk,
+                        want=("hist",))
         reduced = self._run(job)
-        width = op.fmt.width
         return {point.name: reduced[point.name]["hist"]
                 for point in points}

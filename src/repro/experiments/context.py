@@ -34,40 +34,18 @@ from repro.errors import (
     characterize_wa,
 )
 from repro.errors.base import ErrorModel, WorkloadProfile
-from repro.fpu.unit import DEFAULT_DTA_BATCH, FPU
+from repro.fpu.unit import FPU
 from repro.workloads import WORKLOADS, make_workload
 
 #: Table II benchmark order.
 BENCHMARKS = ("sobel", "cg", "kmeans", "srad_v1", "hotspot", "is", "mg")
 
 
-def _make_pipeline(fpu: FPU,
-                   workers: Optional[int],
-                   chunk: Optional[int],
-                   cache_dir: Optional[Union[str, Path]],
-                   ) -> Optional[CharacterizationPipeline]:
-    """Build a characterization pipeline when any knob is set.
-
-    All knobs ``None`` means "legacy serial path" — the context then
-    reproduces the historical model numbers byte for byte.
-    """
-    if workers is None and chunk is None and cache_dir is None:
-        return None
-    config = PipelineConfig(
-        workers=workers or 0,
-        chunk=chunk if chunk is not None else DEFAULT_DTA_BATCH,
-        cache_dir=Path(cache_dir) if cache_dir is not None else None,
-        use_cache=cache_dir is not None,
-    )
-    return CharacterizationPipeline(config, fpu=fpu)
-
-
 def ensure_context(context: Optional["ExperimentContext"],
                    scale: str = "small", seed: int = 2021,
                    samples: int = 50_000,
                    benchmarks: Optional[Sequence[str]] = None,
-                   workers: Optional[int] = None,
-                   chunk: Optional[int] = None,
+                   workers: int = 0,
                    cache_dir: Optional[Union[str, Path]] = None,
                    ) -> "ExperimentContext":
     """Reuse a supplied context or build one from the uniform options.
@@ -75,17 +53,16 @@ def ensure_context(context: Optional["ExperimentContext"],
     Every registry driver funnels its ``scale`` / ``seed`` / ``samples``
     / ``benchmarks`` options through here, so the model-development
     phase is configured identically no matter which artifact asked for
-    it.  ``workers`` / ``chunk`` / ``cache_dir`` opt the build into the
-    parallel, content-addressed characterization pipeline
-    (:mod:`repro.errors.pipeline`); all three left ``None`` keeps the
-    legacy serial path.
+    it.  ``workers`` and ``cache_dir`` configure the characterization
+    pipeline (:mod:`repro.errors.pipeline`): its worker pool and its
+    content-addressed model cache.
     """
     if context is not None:
         return context
     return ExperimentContext.create(
         scale=scale, seed=seed, characterization_samples=samples,
         benchmarks=tuple(benchmarks) if benchmarks else BENCHMARKS,
-        workers=workers, chunk=chunk, cache_dir=cache_dir,
+        workers=workers, cache_dir=cache_dir,
     )
 
 
@@ -102,8 +79,7 @@ class ExperimentContext:
     da: DaModel
     ia: IaModel
     wa: Dict[str, WaModel]
-    #: The characterization pipeline the models were built with (``None``
-    #: when the legacy serial path was used).
+    #: The characterization pipeline the models were built with.
     pipeline: Optional[CharacterizationPipeline] = None
     #: Stop-decision/budget report of the most recent adaptive
     #: ``run_campaigns`` call (``None`` until one runs adaptively).
@@ -115,18 +91,16 @@ class ExperimentContext:
                characterization_samples: int = 50_000,
                benchmarks: Sequence[str] = BENCHMARKS,
                pipeline: Optional[CharacterizationPipeline] = None,
-               workers: Optional[int] = None,
-               chunk: Optional[int] = None,
+               workers: int = 0,
                cache_dir: Optional[Union[str, Path]] = None,
                fastforward: Optional[FastForwardConfig] = None,
                ) -> "ExperimentContext":
         """Model-development phase over the chosen benchmarks.
 
-        Pass ``pipeline`` (or any of ``workers`` / ``chunk`` /
-        ``cache_dir``, which build one) to route all three
-        characterisations through the parallel, cache-aware engine;
-        the WA models stay bit-identical to the serial path, and cached
-        artifacts make repeat builds near-free.  ``fastforward``
+        All three characterisations run on ``pipeline``, or on one built
+        from ``workers`` and ``cache_dir``; the models are the same for
+        any worker count, and cached artifacts make repeat builds
+        near-free.  ``fastforward``
         configures the campaign runners' snapshot engine (``None`` keeps
         the default-on configuration; pass
         ``FastForwardConfig(enabled=False)`` for full replay).
@@ -134,7 +108,9 @@ class ExperimentContext:
         points = list(points) if points else [VR15, VR20]
         fpu = FPU()
         if pipeline is None:
-            pipeline = _make_pipeline(fpu, workers, chunk, cache_dir)
+            pipeline = CharacterizationPipeline(
+                PipelineConfig(workers=workers, cache_dir=cache_dir),
+                fpu=fpu)
         runners: Dict[str, CampaignRunner] = {}
         profiles: Dict[str, WorkloadProfile] = {}
         wa: Dict[str, WaModel] = {}

@@ -20,7 +20,6 @@ from repro.errors.pipeline import CharacterizationPipeline, PipelineConfig
 from repro.experiments import Option
 from repro.fpu.formats import OPS_DOUBLE
 from repro.fpu.unit import FPU
-from repro.utils.bitops import count_ones
 from repro.utils.rng import RngStream
 
 TITLE = "Fig. 5 — bit flips per faulty instruction output"
@@ -47,27 +46,14 @@ def run(context=None, samples_per_op: int = 100_000,
     ``workers`` only fans the DTA reduction out, so the histogram is
     bit-identical for any worker count."""
     fpu = context.fpu if context is not None else FPU()
-    pipeline = context.pipeline if context is not None else None
-    if pipeline is None and workers:
-        pipeline = CharacterizationPipeline(
-            PipelineConfig(workers=workers, use_cache=False), fpu=fpu)
+    pipeline = getattr(context, "pipeline", None) or CharacterizationPipeline(
+        PipelineConfig(workers=workers), fpu=fpu)
     rng = RngStream(seed, "fig5")
     points = [VR15, VR20]
     hists: Dict[str, np.ndarray] = {}
     for op in OPS_DOUBLE:
         a, b = random_operands(op, samples_per_op, rng.child(op.value))
-        if pipeline is not None:
-            op_hists = pipeline.flip_histograms(op, a, b, points)
-        else:
-            batch = fpu.dta(op, a, b, points)
-            op_hists = {}
-            for point in points:
-                masks = batch.masks[point.name]
-                faulty = masks[masks != 0]
-                op_hists[point.name] = np.bincount(
-                    count_ones(faulty) if faulty.size
-                    else np.zeros(0, dtype=np.int64),
-                    minlength=op.fmt.width + 1).astype(np.int64)
+        op_hists = pipeline.flip_histograms(op, a, b, points)
         for name, hist in op_hists.items():
             if name not in hists:
                 hists[name] = np.zeros(hist.size, dtype=np.int64)

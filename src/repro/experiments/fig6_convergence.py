@@ -20,7 +20,6 @@ from repro.errors.base import WorkloadProfile
 from repro.errors.pipeline import CharacterizationPipeline, PipelineConfig
 from repro.experiments import Option, comma_separated_ints
 from repro.fpu.formats import FpOp, op_by_mnemonic
-from repro.fpu.unit import FPU
 from repro.utils.rng import RngStream
 from repro.utils.stats import average_absolute_error
 
@@ -52,23 +51,6 @@ class Fig6Result:
     absolute_error: Dict[int, float]
 
 
-def _per_bit_ber(fpu: FPU, op: FpOp, a, b, point,
-                 pipeline: Optional[CharacterizationPipeline] = None
-                 ) -> np.ndarray:
-    if pipeline is not None:
-        # Pure count reduction: bit-identical to the full-batch path
-        # below for any chunk size or worker count.
-        return pipeline.per_bit_ber(op, a, b, [point])[point.name]
-    masks = fpu.dta(op, a, b, [point]).masks[point.name]
-    width = op.fmt.width
-    ber = np.zeros(width)
-    for bit in range(width):
-        ber[bit] = np.count_nonzero(
-            (masks >> np.uint64(bit)) & np.uint64(1)
-        ) / masks.size
-    return ber
-
-
 def run(context=None,
         profile: Optional[WorkloadProfile] = None,
         benchmark: str = "is",
@@ -93,12 +75,9 @@ def run(context=None,
     if op not in profile.trace_by_op:
         raise ValueError(f"profile {profile.name!r} has no {op} trace")
     a, b = profile.trace_by_op[op]
-    fpu = FPU()
-    pipeline = context.pipeline if context is not None else None
-    if pipeline is None and workers:
-        pipeline = CharacterizationPipeline(
-            PipelineConfig(workers=workers, use_cache=False), fpu=fpu)
-    full_ber = _per_bit_ber(fpu, op, a, b, point, pipeline)
+    pipeline = getattr(context, "pipeline", None) or CharacterizationPipeline(
+        PipelineConfig(workers=workers))
+    full_ber = pipeline.per_bit_ber(op, a, b, [point])[point.name]
     rng = RngStream(seed, "fig6")
     sampled: Dict[int, np.ndarray] = {}
     errors: Dict[int, float] = {}
@@ -107,9 +86,9 @@ def run(context=None,
         # Without replacement, like extracting K distinct instructions
         # from the trace; at K == trace size the estimate is exact.
         sel = rng.choice(a.size, size=take, replace=False)
-        ber = _per_bit_ber(fpu, op, a[sel],
-                           b[sel] if b is not None else None, point,
-                           pipeline)
+        ber = pipeline.per_bit_ber(op, a[sel],
+                                   b[sel] if b is not None else None,
+                                   [point])[point.name]
         sampled[k] = ber
         errors[k] = average_absolute_error(full_ber, ber)
     return Fig6Result(op=op, point=point.name, full_trace_size=int(a.size),

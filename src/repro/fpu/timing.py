@@ -275,8 +275,7 @@ class TimingModel:
         builder contributes nothing under that condition, for *any*
         operand data.  ``FPU.dta`` skips mask building for (op, point)
         pairs that cannot fail — e.g. all single-precision instructions
-        and the conversions at the paper's VR15/VR20 levels — and the
-        characterization pipeline their operand generation too.
+        and the conversions at the paper's VR15/VR20 levels.
         """
         threshold = self.threshold(point)
         return all(math.isinf(params.k_star(threshold))

@@ -16,6 +16,7 @@ from repro.errors.characterize import (
     random_vector_words,
 )
 from repro.errors.ia import IaModel, InstructionStats
+from repro.errors.pipeline import CharacterizationPipeline, PipelineConfig
 from repro.fpu import ops
 from repro.fpu.formats import ALL_OPS, FpOp
 from repro.fpu.timing import DEFAULT_MODEL
@@ -72,6 +73,20 @@ class TestRandomOperands:
         assert int(signed.min()) >= -(1 << 62)
         assert int(signed.max()) < (1 << 62)
         assert (signed < 0).any() and (signed > 0).any()
+
+
+class TestPerBitCounts:
+    @pytest.mark.parametrize("size", [0, 1, 1001])
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_matches_bitwise_shift_count(self, size, width):
+        masks = RngStream(9, "per-bit").uint64(size)
+        for view in (masks, masks[::3]):
+            expected = np.array(
+                [np.count_nonzero((view >> np.uint64(bit)) & np.uint64(1))
+                 for bit in range(width)], dtype=np.int64)
+            counts = _per_bit_counts(view, width)
+            assert counts.dtype == np.int64
+            assert counts.tobytes() == expected.tobytes()
 
 
 class TestCharacterizeIa(object):
@@ -158,8 +173,13 @@ class TestCharacterizeWa:
 
 # -- whole-batch oracle ---------------------------------------------------------
 # The serial drivers as they were before FPU.dta chunked its operands and
-# skipped provably clean points: one golden and one error_masks call over
-# the whole batch, every point evaluated.
+# skipped provably clean points, and before the drivers ran on the
+# pipeline: one golden and one error_masks call over the whole batch,
+# every point evaluated, each model's operands drawn from one sequential
+# stream.
+
+#: A forked pipeline geometry with a chunk coprime to DEFAULT_DTA_BATCH.
+FORKED = PipelineConfig(workers=2, chunk=577, min_fanout_vectors=0)
 
 def _oracle_masks(op, a, b, points):
     golden = ops.golden(op, a, b)
@@ -223,6 +243,17 @@ def _oracle_wa(profile, points, max_samples=1_000_000):
     return faults
 
 
+def assert_wa_matches_oracle(model, oracle):
+    assert set(model.faults) == set(oracle)
+    for point_name, per_op in oracle.items():
+        assert set(model.faults[point_name]) == set(per_op)
+        for op, (idx, bitmasks, ber) in per_op.items():
+            tf = model.faults[point_name][op]
+            assert tf.indices.tobytes() == idx.tobytes(), (point_name, op)
+            assert tf.bitmasks.tobytes() == bitmasks.tobytes()
+            assert tf.ber.tobytes() == ber.tobytes()
+
+
 class TestSerialModelsMatchWholeBatchOracle:
     """The serial IA/DA/WA models are byte-identical to whole-batch DTA."""
 
@@ -234,11 +265,29 @@ class TestSerialModelsMatchWholeBatchOracle:
         assert model.to_dict() == _oracle_ia([VR15, VR20], samples,
                                              5).to_dict()
 
+    def test_ia_forked_geometry(self, fpu):
+        """Pool workers and ragged chunks slice the same op streams."""
+        pipeline = CharacterizationPipeline(FORKED, fpu=fpu)
+        model = characterize_ia([VR15, VR20], samples_per_op=3_000, seed=5,
+                                pipeline=pipeline)
+        assert model.to_dict() == _oracle_ia([VR15, VR20], 3_000,
+                                             5).to_dict()
+
     def test_da_over_two_profiles(self, fpu, tiny_profiles):
         profiles = [tiny_profiles["kmeans"], tiny_profiles["srad_v1"]]
         model = characterize_da(profiles, [VR15, VR20], fpu=fpu,
                                 sample_per_point=20_000, seed=5)
         oracle = _oracle_da(profiles, [VR15, VR20], 20_000, 5)
+        assert oracle["VR20"] > 0
+        assert model.fixed_error_ratios == oracle
+
+    def test_da_forked_geometry(self, fpu, tiny_profiles):
+        """Units slice the one sequential DA selection stream."""
+        profiles = [tiny_profiles["kmeans"], tiny_profiles["srad_v1"]]
+        pipeline = CharacterizationPipeline(FORKED, fpu=fpu)
+        model = characterize_da(profiles, [VR15, VR20], sample_per_point=5_000,
+                                seed=5, pipeline=pipeline)
+        oracle = _oracle_da(profiles, [VR15, VR20], 5_000, 5)
         assert oracle["VR20"] > 0
         assert model.fixed_error_ratios == oracle
 
@@ -248,14 +297,7 @@ class TestSerialModelsMatchWholeBatchOracle:
         model = wa_models[name]
         oracle = _oracle_wa(tiny_profiles[name], [VR15, VR20])
         assert sum(idx.size for idx, _, _ in oracle["VR20"].values()) > 0
-        assert set(model.faults) == set(oracle)
-        for point_name, per_op in oracle.items():
-            assert set(model.faults[point_name]) == set(per_op)
-            for op, (idx, bitmasks, ber) in per_op.items():
-                tf = model.faults[point_name][op]
-                assert tf.indices.tobytes() == idx.tobytes()
-                assert tf.bitmasks.tobytes() == bitmasks.tobytes()
-                assert tf.ber.tobytes() == ber.tobytes()
+        assert_wa_matches_oracle(model, oracle)
 
 
 class TestCharacterizeGate:

@@ -2,7 +2,7 @@
 
 The pipeline's core promise is *bit-identity*: any worker count and any
 chunk size must produce exactly the same model (and WA characterisation
-must match the serial reference in :mod:`repro.errors.characterize`
+must match the whole-batch oracle of ``tests/errors/test_characterize.py``
 bit-for-bit).  These tests exercise every combination the promise covers,
 plus the content-addressed cache's cold/warm/corrupt/stale paths and the
 pool's worker-death recovery.
@@ -20,9 +20,7 @@ import pytest
 
 from repro.circuit.liberty import VR15, VR20
 from repro.errors import store
-from repro.errors.characterize import characterize_wa
 from repro.errors.pipeline import (
-    RNG_BLOCK,
     CharacterizationPipeline,
     PipelineConfig,
     PipelineError,
@@ -31,24 +29,25 @@ from repro.errors.pipeline import (
     trace_digest,
 )
 from repro.fpu.formats import FpOp
+from tests.errors.test_characterize import _oracle_wa, assert_wa_matches_oracle
 
 POINTS = [VR15, VR20]
 
 #: Two error-prone ops plus one provably clean one (exercises the
-#: clean-op short-circuit's all-zero synthesis during reduction).
+#: clean-point skip of ``FPU.dta`` inside the reduction).
 IA_OPS = [FpOp.MUL_D, FpOp.SUB_D, FpOp.I2F_D]
 
-#: Crosses an RNG block boundary so chunk invariance is tested across
-#: blocks, not just within one.
-IA_SAMPLES = RNG_BLOCK + 61
+#: Not a multiple of any chunk size below, so every geometry ends on a
+#: ragged chunk.
+IA_SAMPLES = 4096 + 61
 
-#: (workers, chunk) combinations compared against the serial full-batch
-#: reference.  577 is deliberately coprime to RNG_BLOCK.
-DIFF_CONFIGS = [(0, 577), (0, RNG_BLOCK), (2, 577), (2, None), (4, 1039)]
+#: (workers, chunk) combinations compared against the one-unit-per-op
+#: reference.  577 is deliberately coprime to 4096.
+DIFF_CONFIGS = [(0, 577), (0, 4096), (2, 577), (2, None), (4, 1039)]
 
 
 def _pipeline(workers, chunk, fpu, **kwargs):
-    config = PipelineConfig(workers=workers, chunk=chunk, use_cache=False,
+    config = PipelineConfig(workers=workers, chunk=chunk,
                             min_fanout_vectors=0, **kwargs)
     return CharacterizationPipeline(config, fpu=fpu)
 
@@ -97,7 +96,7 @@ class TestIaDifferential:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_tiny_chunks_within_a_block(self, fpu, chunk):
-        """Chunks far below RNG_BLOCK still slice the same substreams."""
+        """Chunks of a few samples still slice the same stream."""
         ref = _pipeline(0, None, fpu).characterize_ia(
             POINTS, samples_per_op=97, seed=5, ops_under_test=[FpOp.MUL_D])
         model = _pipeline(0, chunk, fpu).characterize_ia(
@@ -105,7 +104,7 @@ class TestIaDifferential:
         assert_ia_equal(model, ref)
 
     def test_clean_op_synthesised(self, fpu, reference):
-        """The short-circuited op is present with exact zero statistics."""
+        """The provably clean op is present with exact zero statistics."""
         for point in POINTS:
             st = reference.stats[point.name][FpOp.I2F_D]
             assert st.error_ratio == 0.0
@@ -138,18 +137,18 @@ class TestWaDifferential:
         return tiny_profiles["srad_v1"]
 
     @pytest.fixture(scope="class")
-    def serial_reference(self, fpu, profile):
-        return characterize_wa(profile, POINTS, fpu=fpu)
+    def serial_reference(self, profile):
+        return _oracle_wa(profile, POINTS)
 
     @pytest.mark.parametrize("workers,chunk", [(0, None)] + DIFF_CONFIGS)
     def test_matches_serial_reference_exactly(self, fpu, profile,
                                               serial_reference, workers,
                                               chunk):
-        """WA draws no randomness: the pipeline must reproduce the serial
-        driver bit-for-bit at every pool/chunk geometry."""
+        """WA draws no randomness: the pipeline must reproduce whole-batch
+        DTA bit-for-bit at every pool/chunk geometry."""
         model = _pipeline(workers, chunk, fpu).characterize_wa(
             profile, POINTS)
-        assert_wa_equal(model, serial_reference)
+        assert_wa_matches_oracle(model, serial_reference)
 
 
 class TestModelCache:
@@ -217,15 +216,6 @@ class TestModelCache:
             "hit": 0, "miss": 1, "invalid": 1,
             "quarantined": 1, "store_errors": 0}
         assert_wa_equal(again, first)
-
-    def test_no_cache_bypasses_directory(self, fpu, tiny_profiles,
-                                         tmp_path):
-        profile = tiny_profiles["srad_v1"]
-        pipeline = CharacterizationPipeline(
-            self._config(tmp_path, use_cache=False), fpu=fpu)
-        assert pipeline.cache is None
-        pipeline.characterize_wa(profile, POINTS)
-        assert not (tmp_path / "cache").exists()
 
 
 class _PidJob:
