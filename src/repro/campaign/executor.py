@@ -7,7 +7,10 @@ harness survive them at scale:
 - **Process isolation** (``workers > 0``): runs execute on a pool of
   forked worker processes.  A guest crash, segfault-equivalent worker
   death, or unexpected exception is contained to its worker and
-  classified; the orchestrator never dies with a guest.
+  classified; the orchestrator never dies with a guest.  The pool is
+  forked once per executor; workers get each cell's ``(model, point)``
+  once and then blocks of run indices (leases), and answer one result
+  message per run.
 - **Wall-clock watchdog**: each run gets a SIGALRM watchdog inside the
   executing process (serial or worker), catching guests that hang
   without charging FP ops.  In pool mode the orchestrator additionally
@@ -33,9 +36,11 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 import traceback
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
@@ -119,25 +124,34 @@ class CellStats:
 
 
 class _WorkerHandle:
-    """Parent-side view of one forked campaign worker."""
+    """Parent-side view of one forked campaign worker.
 
-    def __init__(self, process, conn):
+    A worker outlives the cell it was forked for: ``cells`` holds the ids
+    of every cell it has (inherited at fork or shipped with a lease), and
+    ``block`` the leased run indices it has not yet resolved, in order —
+    the head is the run it is executing.
+    """
+
+    def __init__(self, process, conn, cell: int):
         self.process = process
         self.conn = conn
-        self.task: Optional[int] = None
-        self.started: float = 0.0
+        self.cells = {cell}
+        self.block: deque = deque()
+        self.started: float = 0.0   # lease or last result: watchdog base
         self.in_guest = False
-        self.runs_done = 0
+        self.runs_done = 0          # across cells: what recycle_after counts
 
     @property
     def busy(self) -> bool:
-        return self.task is not None
+        return bool(self.block)
 
-    def assign(self, run_index: int, attempt: int = 0) -> None:
-        # The attempt number rides along so a chaos-injected worker
-        # kill can bound itself by the executor's retry accounting.
-        self.conn.send((run_index, attempt))
-        self.task = run_index
+    def lease(self, cell: int, blob: Optional[bytes], trace_ctx,
+              tasks: List[tuple]) -> None:
+        # The attempt number rides along with each run so a chaos-injected
+        # worker kill can bound itself by the executor's retry accounting.
+        self.conn.send((cell, blob, trace_ctx, tasks))
+        self.cells.add(cell)
+        self.block = deque(run_index for run_index, _ in tasks)
         self.started = time.monotonic()
         self.in_guest = False
 
@@ -145,9 +159,16 @@ class _WorkerHandle:
         return self.started + wall_clock_timeout + grace
 
     def finish_task(self) -> None:
-        self.task = None
+        self.block.popleft()
+        self.started = time.monotonic()
         self.in_guest = False
         self.runs_done += 1
+
+    def release(self) -> List[int]:
+        """Hand back the block's unresolved runs (none of them started)."""
+        rest = list(self.block)
+        self.block.clear()
+        return rest
 
     def shutdown(self, timeout: float = 2.0) -> None:
         """Graceful stop, escalating to SIGTERM/SIGKILL."""
@@ -172,6 +193,12 @@ class _WorkerHandle:
             self.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
+
+
+def _shutdown_pool(pool: List[_WorkerHandle]) -> None:
+    for worker in pool:
+        worker.shutdown()
+    pool.clear()
 
 
 class _FixedStream:
@@ -215,12 +242,17 @@ def _worker_main(conn, runner: CampaignRunner, model: ErrorModel,
                  point: OperatingPoint,
                  wall_clock_timeout: Optional[float],
                  parent_pid: Optional[int] = None) -> None:
-    """Worker loop: receive run indices, send classified results.
+    """Worker loop: receive leases, send one classified result per run.
 
-    Runs in a forked child, so ``runner``/``model``/``point`` are
-    inherited (never pickled); only the small result dicts cross the
-    pipe.  The ``guest`` marker before each guest execution lets the
-    parent tell a guest crash (classify) from a harness death (retry).
+    Runs in a forked child that inherits ``runner`` and the cell
+    ``(model, point)`` it was forked for.  A lease is ``(cell, blob,
+    trace_ctx, tasks)``: ``blob`` is the pickled ``(model, point)`` of a
+    cell this worker has not seen yet, or None for the cell it was
+    forked for (and for cells already shipped); ``tasks`` is a block of
+    ``(run_index, attempt)`` pairs executed in order.  The ``guest``
+    marker before each guest execution lets the parent tell a guest
+    crash (classify) from a harness death (retry).  A harness error ends
+    the block: the parent recycles the worker and requeues the rest.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Inherited-by-fork telemetry would re-ship the parent's pre-fork
@@ -237,15 +269,11 @@ def _worker_main(conn, runner: CampaignRunner, model: ErrorModel,
                 sink.close()
             except Exception:  # pragma: no cover - sink already closed
                 pass
-        if telemetry.get_trace_context() is not None:
-            # The parent is tracing: buffer this worker's closed spans
-            # (bounded) so they ship with the next result message and
-            # get stitched into the parent's trace file.
-            collector.buffer_spans()
     recorder = flight.get_recorder()
     if recorder is not None:
         recorder.sink = None
         recorder.keep_in_memory = False
+    cells: Dict[int, tuple] = {}
     try:
         golden = runner.golden()  # already cached pre-fork; cheap
         injector = MicroArchInjector(golden.schedule, golden.masking)
@@ -270,52 +298,64 @@ def _worker_main(conn, runner: CampaignRunner, model: ErrorModel,
                 break
             if message is None:
                 break
-            task, attempt = (message if isinstance(message, tuple)
-                             else (message, 0))
-            chaos_injector = _chaos_active()
-            if chaos_injector is not None:
-                # A planned pre-guest SIGKILL: the parent sees a worker
-                # death *before* the guest marker and retries the run as
-                # a harness failure — guest outcomes stay untouched.
-                chaos_injector.maybe_kill_worker(
-                    run_key(runner.workload.name, model.name, point.name,
-                            task),
-                    attempt,
-                )
-            start = time.monotonic()
-            try:
-                execution = runner.execute_run(
-                    model, point, task, injector=injector,
-                    wall_clock_timeout=wall_clock_timeout,
-                    guest_entry=lambda: conn.send(
-                        {"type": "guest", "run_index": task}
-                    ),
-                    attempt=attempt,
-                )
-            except Exception:
-                message = {"type": "harness_error", "run_index": task,
-                           "error": traceback.format_exc()}
+            cell, blob, trace_ctx, tasks = message
+            if cell not in cells:
+                cells[cell] = ((model, point) if blob is None
+                               else pickle.loads(blob))
+            cell_model, cell_point = cells[cell]
+            # The parent narrows the trace context per cell; buffered
+            # spans ship with the next result message and get stitched
+            # into the parent's trace file.
+            telemetry.set_trace_context(trace_ctx)
+            if trace_ctx is not None and collector is not None:
+                collector.buffer_spans()
+            for task, attempt in tasks:
+                chaos_injector = _chaos_active()
+                if chaos_injector is not None:
+                    # A planned pre-guest SIGKILL: the parent sees a
+                    # worker death *before* the guest marker and retries
+                    # the run as a harness failure — guest outcomes stay
+                    # untouched.
+                    chaos_injector.maybe_kill_worker(
+                        run_key(runner.workload.name, cell_model.name,
+                                cell_point.name, task),
+                        attempt,
+                    )
+                start = time.monotonic()
+                try:
+                    execution = runner.execute_run(
+                        cell_model, cell_point, task, injector=injector,
+                        wall_clock_timeout=wall_clock_timeout,
+                        guest_entry=lambda: conn.send(
+                            {"type": "guest", "run_index": task}
+                        ),
+                        attempt=attempt,
+                    )
+                except Exception:
+                    message = {"type": "harness_error", "run_index": task,
+                               "error": traceback.format_exc()}
+                    if telemetry.enabled():
+                        message["telemetry"] = (
+                            telemetry.get_collector().drain())
+                    conn.send(message)
+                    break
+                message = {
+                    "type": "result", "run_index": task,
+                    "outcome": execution.outcome.value,
+                    "injected": execution.injected,
+                    "uarch_masked": execution.uarch_masked,
+                    "watchdog": execution.watchdog,
+                    "unexpected": execution.unexpected,
+                    "wall_ms": (time.monotonic() - start) * 1000.0,
+                    "weight": execution.weight,
+                }
+                if execution.flight is not None:
+                    message["flight"] = execution.flight
+                if execution.fastforward is not None:
+                    message["fastforward"] = execution.fastforward
                 if telemetry.enabled():
                     message["telemetry"] = telemetry.get_collector().drain()
                 conn.send(message)
-                continue
-            message = {
-                "type": "result", "run_index": task,
-                "outcome": execution.outcome.value,
-                "injected": execution.injected,
-                "uarch_masked": execution.uarch_masked,
-                "watchdog": execution.watchdog,
-                "unexpected": execution.unexpected,
-                "wall_ms": (time.monotonic() - start) * 1000.0,
-                "weight": execution.weight,
-            }
-            if execution.flight is not None:
-                message["flight"] = execution.flight
-            if execution.fastforward is not None:
-                message["fastforward"] = execution.fastforward
-            if telemetry.enabled():
-                message["telemetry"] = telemetry.get_collector().drain()
-            conn.send(message)
     finally:
         try:
             conn.close()
@@ -337,6 +377,16 @@ class CampaignExecutor:
         # grant (re-entering run_cell with a raised ceiling) resumes
         # from memory even without a journal.
         self._adaptive_cache: Dict[tuple, Dict[int, RunRecord]] = {}
+        # The worker pool outlives cells: forked at the first pooled cell
+        # and shut down by close() — or, for an executor dropped
+        # unclosed, by the finalizer registered with the first fork.
+        self._pool: List[_WorkerHandle] = []
+        self._finalizer = None
+        # Cell ids by (model, point) identity; the strong references in
+        # ``_cells`` keep those identities from being reused.
+        self._cell_ids: Dict[tuple, int] = {}
+        self._cells: List[tuple] = []
+        self._blobs: Dict[int, Optional[bytes]] = {}
         self._owns_journal = False
         if journal is not None:
             self.journal = journal
@@ -350,6 +400,7 @@ class CampaignExecutor:
             self.journal = None
 
     def close(self) -> None:
+        _shutdown_pool(self._pool)
         recorder = flight.get_recorder()
         if recorder is not None:
             recorder.flush()
@@ -371,9 +422,9 @@ class CampaignExecutor:
                  ) -> CampaignResult:
         if runs is None:
             runs = confidence_sample_size()  # 1068
-        # Narrow the campaign-level trace context to this cell before
-        # any worker forks: children inherit the cell-scoped context,
-        # so their buffered spans arrive pre-stamped for stitching.
+        # Narrow the campaign-level trace context to this cell: pool
+        # workers receive it with each lease, so their buffered spans
+        # arrive pre-stamped for stitching.
         base_ctx = telemetry.get_trace_context()
         if base_ctx is not None:
             cell = (f"{self.runner.workload.name}/{model.name}/"
@@ -659,8 +710,28 @@ class CampaignExecutor:
         return out
 
     # -- pool mode ---------------------------------------------------------------
-    def _spawn(self, ctx, model: ErrorModel,
-               point: OperatingPoint) -> _WorkerHandle:
+    def _cell_id(self, model: ErrorModel, point: OperatingPoint) -> int:
+        key = (id(model), id(point))
+        cell = self._cell_ids.get(key)
+        if cell is None:
+            cell = self._cell_ids[key] = len(self._cells)
+            self._cells.append((model, point))
+        return cell
+
+    def _blob(self, cell: int) -> Optional[bytes]:
+        """The cell's pickled ``(model, point)``; None if unpicklable."""
+        if cell not in self._blobs:
+            try:
+                self._blobs[cell] = pickle.dumps(self._cells[cell],
+                                                 pickle.HIGHEST_PROTOCOL)
+            except Exception:  # e.g. a model class local to a function
+                self._blobs[cell] = None
+        return self._blobs[cell]
+
+    def _spawn(self, model: ErrorModel, point: OperatingPoint,
+               cell: int) -> _WorkerHandle:
+        """Fork one worker that inherits the runner and this cell."""
+        ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=_worker_main,
@@ -670,24 +741,60 @@ class CampaignExecutor:
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(process, parent_conn)
+        telemetry.count("campaign.pool.forks")
+        if self._finalizer is None:
+            self._finalizer = weakref.finalize(self, _shutdown_pool,
+                                               self._pool)
+        return _WorkerHandle(process, parent_conn, cell)
+
+    def _prepare_pool(self, model: ErrorModel, point: OperatingPoint,
+                      cell: int, size: int) -> List[_WorkerHandle]:
+        """The pool, grown to ``size`` workers that can all run ``cell``.
+
+        A worker lacking a cell that cannot be pickled is re-forked with
+        the cell inherited.
+        """
+        pool = self._pool
+        for index, worker in enumerate(pool):
+            if cell not in worker.cells and self._blob(cell) is None:
+                worker.shutdown()
+                pool[index] = self._spawn(model, point, cell)
+        while len(pool) < size:
+            pool.append(self._spawn(model, point, cell))
+        return pool
 
     def _run_pool(self, model: ErrorModel, point: OperatingPoint,
                   stream, runs: int,
                   stats: CellStats) -> Dict[int, RunRecord]:
         cfg = self.config
-        ctx = multiprocessing.get_context("fork")
-        pool_size = max(1, min(cfg.workers, stream.backlog))
-        stats.workers = pool_size
+        cell = self._cell_id(model, point)
+        stats.workers = max(1, min(cfg.workers, stream.backlog))
+        workers = self._prepare_pool(model, point, cell, stats.workers)
+        trace_ctx = telemetry.get_trace_context()
 
-        queue: deque = deque()          # promoted retries awaiting a worker
+        queue: deque = deque()          # requeued runs and due retries
         retry_heap: List = []           # (eligible_at, run_index)
         attempts: Dict[int, int] = {}   # harness attempts per run index
         out: Dict[int, RunRecord] = {}
         fail_budget = self._fail_budget(runs)
         failed = 0
+        reserved = 0                    # fresh indices taken from stream
 
-        workers = [self._spawn(ctx, model, point) for _ in range(pool_size)]
+        def lease(index: int, worker: _WorkerHandle, tasks: List[int]):
+            try:
+                worker.lease(
+                    cell,
+                    None if cell in worker.cells else self._blob(cell),
+                    trace_ctx,
+                    [(i, attempts.get(i, 0)) for i in tasks])
+                telemetry.count("campaign.pool.leases")
+            except (BrokenPipeError, OSError):
+                # Worker died while idle: respawn, requeue.
+                stats.worker_restarts += 1
+                worker.kill()
+                workers[index] = self._spawn(model, point, cell)
+                queue.extendleft(reversed(tasks))
+
         try:
             while True:
                 now = time.monotonic()
@@ -701,27 +808,35 @@ class CampaignExecutor:
                     # just drain the workers still busy.
                     queue.clear()
                     retry_heap.clear()
-                # Hand work to idle workers: retries first (they block
-                # the commit frontier), then fresh indices from the
-                # stream.
+                # Hand work to idle workers: queued runs one at a time
+                # first (they block the commit frontier), then fresh
+                # indices.  A fixed-N cell leases a block sized to a
+                # quarter of an even share of the backlog, cut at the
+                # worker's recycle point.  An adaptive cell leases one
+                # run at a time: a block running past the stop point
+                # would be executed only to be discarded.
                 for index, worker in enumerate(workers):
                     if worker.busy:
                         continue
                     if queue:
-                        run_index = queue.popleft()
-                    else:
+                        lease(index, worker, [queue.popleft()])
+                        continue
+                    size = 1
+                    if not stats.adaptive:
+                        share = -(-(stream.backlog - reserved)
+                                  // (4 * len(workers)))
+                        size = max(1, min(share, cfg.recycle_after
+                                          - worker.runs_done))
+                    tasks = []
+                    while len(tasks) < size:
                         run_index = stream.reserve()
                         if run_index is None:
                             break
-                    try:
-                        worker.assign(run_index,
-                                      attempts.get(run_index, 0))
-                    except (BrokenPipeError, OSError):
-                        # Worker died while idle: respawn, requeue.
-                        stats.worker_restarts += 1
-                        worker.kill()
-                        workers[index] = self._spawn(ctx, model, point)
-                        queue.appendleft(run_index)
+                        tasks.append(run_index)
+                    if not tasks:
+                        break
+                    reserved += len(tasks)
+                    lease(index, worker, tasks)
                 busy = [w for w in workers if w.busy]
                 if not busy:
                     if retry_heap and not stream.stopped:
@@ -755,14 +870,16 @@ class CampaignExecutor:
                         if replace or (worker.runs_done
                                        >= cfg.recycle_after):
                             stats.worker_restarts += 1
+                            queue.extendleft(reversed(worker.release()))
                             worker.shutdown()
-                            workers[index] = self._spawn(ctx, model, point)
+                            workers[index] = self._spawn(model, point, cell)
                     elif (cfg.wall_clock_timeout
                           and now >= worker.deadline(cfg.wall_clock_timeout,
                                                      cfg.kill_grace)):
                         # Watchdog kill: the in-worker SIGALRM never came
                         # back (signals blocked / stuck in native code).
-                        run_index = worker.task
+                        run_index = worker.block.popleft()
+                        queue.extendleft(reversed(worker.release()))
                         worker.kill()
                         stats.watchdog_kills += 1
                         stats.worker_restarts += 1
@@ -782,7 +899,7 @@ class CampaignExecutor:
                             stream.deliver(run_index, record,
                                            ("truncated", True)),
                             model, point, stats, out)
-                        workers[index] = self._spawn(ctx, model, point)
+                        workers[index] = self._spawn(model, point, cell)
                 # Count permanently failed runs (exhausted retries).
                 failed = sum(
                     1 for idx, n in attempts.items()
@@ -792,8 +909,13 @@ class CampaignExecutor:
                     stats.degraded = True
                     break
         finally:
+            # A worker still holding a block (degraded cell, or an
+            # exception out of this loop) would answer into the next
+            # cell: kill it; the next cell forks a replacement.
             for worker in workers:
-                worker.shutdown()
+                if worker.busy:
+                    worker.kill()
+            workers[:] = [w for w in workers if not w.busy]
         return out
 
     def _drain_worker(self, worker: _WorkerHandle, model: ErrorModel,
@@ -803,9 +925,10 @@ class CampaignExecutor:
         """Consume everything a readable worker sent.
 
         Returns True when the worker must be replaced (it died or hit a
-        harness error and gets recycled).
+        harness error and gets recycled); the rest of its block is then
+        unstarted and goes back to the queue.
         """
-        while True:
+        while worker.busy:
             try:
                 if not worker.conn.poll():
                     if worker.process.is_alive():
@@ -821,7 +944,7 @@ class CampaignExecutor:
                 telemetry.merge(message.pop("telemetry"))
             if message is None:
                 # Worker died mid-task (segfault-equivalent).
-                run_index = worker.task
+                run_index = worker.block.popleft()
                 worker.process.join(1.0)
                 exitcode = worker.process.exitcode
                 if worker.in_guest:
@@ -889,7 +1012,7 @@ class CampaignExecutor:
                                    ("flight", message.get("flight"))),
                     model, point, stats, out)
                 worker.finish_task()
-                return False
+        return False
 
     def _record_harness_failure(self, model: ErrorModel,
                                 point: OperatingPoint, run_index: int,

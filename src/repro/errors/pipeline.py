@@ -775,7 +775,6 @@ class CharacterizationPipeline:
                                      self.config.min_fanout_vectors))
 
     # -- model builders ----------------------------------------------------------
-    @telemetry.timed("characterize.pipeline.ia")
     def characterize_ia(self, points: Sequence[OperatingPoint],
                         samples_per_op: int = DEFAULT_SAMPLE,
                         seed: int = 2021,
@@ -798,7 +797,6 @@ class CharacterizationPipeline:
 
         return self._cached("IA", key, build)
 
-    @telemetry.timed("characterize.pipeline.da")
     def characterize_da(self, profiles: Sequence[WorkloadProfile],
                         points: Sequence[OperatingPoint],
                         sample_per_point: int = DEFAULT_SAMPLE,
@@ -824,7 +822,6 @@ class CharacterizationPipeline:
 
         return self._cached("DA", key, build)
 
-    @telemetry.timed("characterize.pipeline.wa")
     def characterize_wa(self, profile: WorkloadProfile,
                         points: Sequence[OperatingPoint],
                         max_samples: int = 1_000_000,

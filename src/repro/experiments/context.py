@@ -8,6 +8,7 @@ its seed, so every driver regenerates identical numbers.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -167,17 +168,17 @@ class ExperimentContext:
             raise ValueError(
                 "importance sampling requires an AdaptiveConfig "
                 "(pass adaptive=AdaptiveConfig(importance=True))")
-        owns_journal = False
-        if journal is None and config is not None and config.journal_path:
-            journal = RunJournal.open(config.journal_path, seed=self.seed,
-                                      resume=config.resume)
-            owns_journal = True
         results: List[CampaignResult] = []
-        try:
+        with ExitStack() as stack:
+            if (journal is None and config is not None
+                    and config.journal_path):
+                journal = stack.enter_context(RunJournal.open(
+                    config.journal_path, seed=self.seed,
+                    resume=config.resume))
             cells = []
             for name in (benchmarks or self.benchmarks):
-                executor = CampaignExecutor(self.runners[name],
-                                            config=config, journal=journal)
+                executor = stack.enter_context(CampaignExecutor(
+                    self.runners[name], config=config, journal=journal))
                 for model in self.models_for(name):
                     if importance and getattr(model, "workload_aware",
                                               False):
@@ -189,11 +190,13 @@ class ExperimentContext:
                             results.append(
                                 executor.run_cell(model, point, runs=runs)
                             )
+                if adaptive is None:
+                    # Its cells are done: release its worker pool now
+                    # rather than holding every benchmark's pool to the
+                    # end of the grid.
+                    executor.close()
             if adaptive is not None:
                 results, report = run_adaptive_cells(cells, adaptive,
                                                      runs=runs)
                 self.adaptive_report = report
-        finally:
-            if owns_journal:
-                journal.close()
         return results

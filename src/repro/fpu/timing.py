@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,6 +232,8 @@ class TimingModel:
                  technology: VoltageScalingModel = TECHNOLOGY):
         self.config = config
         self.technology = technology
+        # is_error_free depends on the point only through its threshold.
+        self._error_free: Dict[Tuple[FpOp, float], bool] = {}
 
     # -- voltage mapping ---------------------------------------------------------
     def threshold(self, point: OperatingPoint) -> float:
@@ -276,10 +278,20 @@ class TimingModel:
         operand data.  ``FPU.dta`` skips mask building for (op, point)
         pairs that cannot fail — e.g. all single-precision instructions
         and the conversions at the paper's VR15/VR20 levels.
+
+        Memoised per ``(op, threshold)``: the answer is a function of
+        this model's config and the threshold value alone, so another
+        point at the same threshold shares the entry and no other point
+        can read a stale one.
         """
         threshold = self.threshold(point)
-        return all(math.isinf(params.k_star(threshold))
-                   for params in self._path_classes(op))
+        key = (op, threshold)
+        free = self._error_free.get(key)
+        if free is None:
+            free = self._error_free[key] = all(
+                math.isinf(params.k_star(threshold))
+                for params in self._path_classes(op))
+        return free
 
     def live_points(self, op: FpOp, points: Sequence[OperatingPoint]
                     ) -> List[OperatingPoint]:

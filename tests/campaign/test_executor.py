@@ -6,13 +6,18 @@ that hang without charging FP ops, journal resume producing bit-identical
 results, retry/backoff for harness errors, and degraded-cell accounting.
 """
 
+import os
 import signal
 import time
 
 import numpy as np
 import pytest
 
-from repro.campaign.executor import CampaignExecutor, ExecutorConfig
+from repro.campaign.executor import (
+    CampaignExecutor,
+    ExecutorConfig,
+    _WorkerHandle,
+)
 from repro.campaign.outcomes import Outcome
 from repro.campaign.runner import (
     CRASH_EXCEPTIONS,
@@ -412,3 +417,194 @@ class TestResume:
                 result = executor.run_cell(model, VR20, runs=5)
             assert result.stats.resumed == 0
             assert result.stats.executed == 5
+
+
+class _KillOnceModel(_AddModel):
+    """SIGKILLs its worker once, pre-guest, while planning one run."""
+
+    name = "KILL_ONCE"
+
+    def __init__(self, marker, victim):
+        self.marker = marker
+        self.victim = victim
+
+    def plan(self, profile, point, rng):
+        if rng.name.endswith(f"/{self.victim}") and not self.marker.exists():
+            self.marker.write_text("died here")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().plan(profile, point, rng)
+
+
+class _FailThenSlowModel(_AddModel):
+    """Planning fails for runs 0-2 and is slow for every other run."""
+
+    name = "FAIL_THEN_SLOW"
+
+    def plan(self, profile, point, rng):
+        if int(rng.name.rsplit("/", 1)[1]) < 3:
+            raise RuntimeError("harness-side failure")
+        time.sleep(0.5)
+        return super().plan(profile, point, rng)
+
+
+@pytest.fixture
+def leases(monkeypatch):
+    """Every lease the parent sends: (worker pid, cell, shipped, tasks)."""
+    sent = []
+    original = _WorkerHandle.lease
+
+    def recording(self, cell, blob, trace_ctx, tasks):
+        sent.append((self.process.pid, cell, blob is not None, list(tasks)))
+        return original(self, cell, blob, trace_ctx, tasks)
+
+    monkeypatch.setattr(_WorkerHandle, "lease", recording)
+    return sent
+
+
+def _summary(result):
+    return (dict(result.counts.counts), result.uarch_masked,
+            result.runs_without_injection)
+
+
+class TestPersistentPool:
+    """One worker pool per executor, cells shipped by lease, runs leased
+    in blocks — with results identical to serial execution."""
+
+    @pytest.fixture
+    def grid(self, tiny_runners, ia_model, da_model, wa_models):
+        from repro.circuit.liberty import VR15
+
+        runner = tiny_runners["srad_v1"]
+        cells = [(model, point)
+                 for model in (da_model, ia_model, wa_models["srad_v1"])
+                 for point in (VR15, VR20)]
+        return runner, cells
+
+    def test_pool_reused_across_cells(self, grid, leases):
+        runner, cells = grid
+        serial = [_summary(runner.campaign(model, point, runs=10))
+                  for model, point in cells]
+        config = ExecutorConfig(workers=2, wall_clock_timeout=60.0)
+        with CampaignExecutor(runner, config) as executor:
+            pooled, pids = [], []
+            for model, point in cells:
+                result = executor.run_cell(model, point, runs=10)
+                pooled.append(_summary(result))
+                pids.append(sorted(w.process.pid for w in executor._pool))
+                assert result.stats.worker_restarts == 0
+                assert result.stats.workers == 2
+        assert pooled == serial
+        assert all(p == pids[0] for p in pids)
+        # Runs go out in blocks: 10 runs per cell take fewer leases.
+        assert len(leases) < 6 * 10
+        assert max(len(tasks) for *_, tasks in leases) > 1
+
+    def test_cell_shipped_once_per_worker(self, grid, leases):
+        runner, cells = grid
+        config = ExecutorConfig(workers=2, wall_clock_timeout=60.0)
+        with CampaignExecutor(runner, config) as executor:
+            for model, point in cells:
+                executor.run_cell(model, point, runs=10)
+        shipped = [(pid, cell) for pid, cell, blob, _ in leases if blob]
+        assert len(shipped) == len(set(shipped))
+        # The first cell is inherited at fork; every later cell is
+        # shipped to each worker that leases its runs.
+        first_cell = leases[0][1]
+        assert all(cell != first_cell for _, cell in shipped)
+        for pid, cell, _, _ in leases:
+            if cell != first_cell:
+                assert (pid, cell) in shipped
+
+    def test_unpicklable_model_reforks_with_the_cell(self):
+        class _LocalModel(_AddModel):
+            name = "LOCAL"
+
+        runner = _runner(_SmallWorkload(scale="tiny", seed=5))
+        cells = [(_AddModel(), VR20), (_LocalModel(), VR20)]
+        serial = [_summary(runner.campaign(model, point, runs=6))
+                  for model, point in cells]
+        config = ExecutorConfig(workers=2, wall_clock_timeout=60.0)
+        with CampaignExecutor(runner, config) as executor:
+            first = executor.run_cell(*cells[0], runs=6)
+            before = {w.process.pid for w in executor._pool}
+            second = executor.run_cell(*cells[1], runs=6)
+            after = {w.process.pid for w in executor._pool}
+        assert [_summary(first), _summary(second)] == serial
+        assert not before & after
+        assert second.stats.worker_restarts == 0
+
+    def test_dropped_executor_leaves_no_live_child(self):
+        import gc
+
+        runner = _runner(_SmallWorkload(scale="tiny", seed=5))
+        executor = CampaignExecutor(runner, ExecutorConfig(workers=2))
+        executor.run_cell(_AddModel(), VR20, runs=4)
+        processes = [w.process for w in executor._pool]
+        assert processes and all(p.is_alive() for p in processes)
+        del executor
+        gc.collect()
+        assert not any(p.is_alive() for p in processes)
+
+    def test_mid_block_kill_requeues_unstarted_runs(self, tmp_path,
+                                                    leases):
+        runner = _runner(_SmallWorkload(scale="tiny", seed=5))
+        config = ExecutorConfig(workers=2, max_retries=2, backoff=0.001,
+                                journal_path=str(tmp_path / "j.jsonl"))
+        model = _KillOnceModel(tmp_path / "marker", victim=1)
+        with CampaignExecutor(runner, config) as executor:
+            result = executor.run_cell(model, VR20, runs=40)
+            records = executor.journal.completed_runs(
+                "small", model.name, VR20.name)
+            errors = executor.journal.harness_errors()
+        # The first block (ceil(40 / (4 * 2)) = 5 runs) dies at run 1.
+        first_block = leases[0][3]
+        assert [i for i, _ in first_block] == [0, 1, 2, 3, 4]
+        assert result.counts.total == 40
+        assert result.stats.harness_errors == 1
+        assert result.stats.retries == 1
+        assert len(errors) == 1
+        # Only the killed run is charged an attempt; the block's
+        # unstarted runs are leased again at attempt 0.
+        assert {i: r.retries for i, r in records.items() if r.retries} == {
+            1: 1}
+        released = [task for *_, tasks in leases[1:] for task in tasks
+                   if task[0] in (1, 2, 3, 4)]
+        assert sorted(released) == [(1, 1), (2, 0), (3, 0), (4, 0)]
+
+    def test_degraded_cell_retires_its_busy_worker(self):
+        """A cell that degrades while a worker still holds a block kills
+        that worker; the next cell runs on a fresh one."""
+        import multiprocessing
+
+        def children():
+            return {p.pid for p in multiprocessing.active_children()}
+
+        earlier = children()
+        runner = _runner(_SmallWorkload(scale="tiny", seed=5))
+        config = ExecutorConfig(workers=2, max_retries=0,
+                                degraded_threshold=0.05)
+        with CampaignExecutor(runner, config) as executor:
+            degraded = executor.run_cell(_FailThenSlowModel(), VR20,
+                                         runs=40)
+            survivors = {w.process.pid for w in executor._pool}
+            alive = children() - earlier
+            healthy = executor.run_cell(_AddModel(), VR20, runs=8)
+            pids = {w.process.pid for w in executor._pool}
+        assert degraded.degraded
+        assert len(survivors) < 2 and len(pids) == 2
+        assert alive == survivors
+        assert _summary(healthy) == _summary(
+            runner.campaign(_AddModel(), VR20, runs=8))
+
+    @pytest.mark.parametrize("runs,workers", [(1, 2), (3, 4)],
+                             ids=["backlog-1", "backlog-below-workers"])
+    def test_small_backlog(self, tiny_runners, wa_models, runs, workers):
+        runner = tiny_runners["srad_v1"]
+        model = wa_models["srad_v1"]
+        serial = runner.campaign(model, VR20, runs=runs)
+        config = ExecutorConfig(workers=workers, wall_clock_timeout=60.0)
+        with CampaignExecutor(runner, config) as executor:
+            pooled = executor.run_cell(model, VR20, runs=runs)
+            assert len(executor._pool) == runs
+        assert _summary(pooled) == _summary(serial)
+        assert pooled.stats.workers == runs

@@ -101,3 +101,37 @@ def test_k_star_properties(slack_min, tau, amplitude, th_a, th_b):
     # Raising the threshold (deeper undervolting) never raises k*.
     lo, hi = sorted((th_a, th_b))
     assert params.k_star(hi) <= params.k_star(lo)
+
+
+def test_error_free_memo_matches_fresh_evaluation():
+    """The per-(op, threshold) memo never serves a stale answer: asked
+    in interleaved order across plain and composed stress points and two
+    differently calibrated models, every answer equals the slack check
+    evaluated from scratch."""
+    from dataclasses import replace
+
+    from repro.circuit.variation import StressCondition
+    from repro.fpu.timing import TimingModel
+
+    points = [NOMINAL, VR15, VR20,
+              StressCondition(voltage_reduction=0.2, years=10,
+                              temperature_c=100, overclock=1.1
+                              ).operating_point("STRESS"),
+              StressCondition(overclock=1.3).operating_point("OC")]
+    models = [TimingModel(),
+              TimingModel(replace(DEFAULT_MODEL.config,
+                                  single_slack_bonus=0.0))]
+
+    def fresh(model, op, point):
+        threshold = model.threshold(point)
+        return all(math.isinf(params.k_star(threshold))
+                   for params in model._path_classes(op))
+
+    for _ in range(2):
+        for op in ALL_OPS:
+            for point in points:
+                for model in models:
+                    assert (model.is_error_free(op, point)
+                            == fresh(model, op, point)), (op, point.name)
+    assert any(models[0].is_error_free(op, p) != models[1].is_error_free(
+        op, p) for op in ALL_OPS for p in points)

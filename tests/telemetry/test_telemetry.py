@@ -272,6 +272,25 @@ class TestCampaignIntegration:
         assert data["counters"]["campaign.runs.executed"] == 8
         assert data["stats"]["campaign.run_ms"]["count"] == 8
 
+    def test_pool_forked_once_per_executor(self, tiny_runners, da_model,
+                                           ia_model, wa_models):
+        """Six pooled cells fork ``workers`` processes, not six pools."""
+        from repro.circuit.liberty import VR15, VR20
+
+        telemetry.enable()
+        runner = tiny_runners["kmeans"]
+        models = [da_model, ia_model, wa_models["kmeans"]]
+        config = ExecutorConfig(workers=2)
+        with CampaignExecutor(runner, config=config) as executor:
+            for model in models:
+                for point in (VR15, VR20):
+                    executor.run_cell(model, point, runs=16)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["campaign.pool.forks"] == 2
+        assert counters["campaign.worker_restarts"] == 0
+        # Runs are leased in blocks: fewer leases than runs.
+        assert 12 <= counters["campaign.pool.leases"] < 6 * 16
+
     def test_campaign_bit_identical_with_telemetry(self, tiny_runners,
                                                    wa_models):
         from repro.circuit.liberty import VR20
