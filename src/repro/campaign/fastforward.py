@@ -289,7 +289,7 @@ class SnapshotStore:
     @staticmethod
     def _consumed(ctx: FPContext,
                   last_index: Dict[FpOp, int]) -> bool:
-        return all(ctx.counters[op] > last
+        return all(ctx.op_count(op) > last
                    for op, last in last_index.items())
 
     def _tail_fits(self, ctx: FPContext, golden: Boundary) -> bool:

@@ -76,6 +76,10 @@ _IS_DOUBLE = {op: op.name.endswith("_D") for op in FpOp}
 _PRECISION = {op: "double" if _IS_DOUBLE[op] else "single" for op in FpOp}
 _LATENCY = {op: {"add": 6, "sub": 6, "mul": 7, "div": 24, "i2f": 3,
                  "f2i": 3}[_KIND[op]] for op in FpOp}
+# ``op.ordinal`` (0..11) indexes hot op tables: a list index costs far
+# less than hashing the Enum member.
+for _ordinal, _op in enumerate(FpOp):
+    _op.ordinal = _ordinal
 
 #: Double-precision instructions (the error-prone set under VR15/VR20).
 OPS_DOUBLE: List[FpOp] = [

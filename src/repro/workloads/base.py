@@ -16,6 +16,7 @@ instruction per element).  The context
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,10 +38,24 @@ class GuestTimeout(Exception):
     """The guest exceeded 2x the error-free execution budget."""
 
 
-#: Binary FpOp -> (ufunc, single precision), built once.
-_BINARY_META = {op: ({"add": np.add, "sub": np.subtract, "mul": np.multiply,
-                      "div": np.divide}[op.kind], not op.is_double)
-                for op in FpOp if op.has_two_operands}
+_OPS = tuple(FpOp)
+#: FpOp ordinal -> (ufunc, single precision) for binary ops, else None.
+_BINARY_META = [({"add": np.add, "sub": np.subtract, "mul": np.multiply,
+                  "div": np.divide}[op.kind], not op.is_double)
+                if op.has_two_operands else None for op in _OPS]
+_ADD_D = FpOp.ADD_D.ordinal
+
+
+@functools.lru_cache(maxsize=64)
+def _periodic_index(length: int, shift: int) -> np.ndarray:
+    index = (np.arange(length) - shift) % length
+    index.flags.writeable = False
+    return index
+
+
+def roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """``np.roll(a, shift, axis)``'s C-order bytes, by a cached-index take."""
+    return a.take(_periodic_index(a.shape[axis], shift), axis=axis)
 
 
 class FPContext:
@@ -65,7 +80,12 @@ class FPContext:
         self.trap_nonfinite = trap_nonfinite
         self.sequence_cap = sequence_cap
 
-        self.counters: Dict[FpOp, int] = {op: 0 for op in FpOp}
+        # Tables indexed by op ordinal.  A call whose stream range misses
+        # its op's [lo, hi) victim window does no corruption work.
+        self._counts = [0] * len(_OPS)
+        self._victims = [self.corruption.get(op) for op in _OPS]
+        self._windows = [(min(v), max(v) + 1) if v else (0, 0)
+                         for v in self._victims]
         self.ops_executed = 0
         self.corrupted_events = 0
         self._armed = False  # a corruption has landed; start trap checks
@@ -108,35 +128,66 @@ class FPContext:
 
     # Reductions built from the primitive stream.
     def sum(self, values):
-        """Sequential-tree sum through the FPU add stream."""
+        """Sequential-tree sum through the FPU add stream.
+
+        One ADD_D charge and a bare ``np.add`` per level, unless an ADD_D
+        victim lies in the tree, the tree would trip the budget or the
+        trace is recorded: those trees go through ``add`` level by level.
+        """
         arr = np.asarray(values, dtype=np.float64).ravel()
+        adds = arr.size - 1
+        start = self._counts[_ADD_D]
+        lo, hi = self._windows[_ADD_D]
+        fused = (adds > 0 and not self.record_trace
+                 and not (start < hi and lo < start + adds)
+                 and (self.op_budget is None
+                      or self.ops_executed + adds <= self.op_budget))
+        trap = fused and self._armed and self.trap_nonfinite
+        done = 0
         while arr.size > 1:
             half = arr.size // 2
-            paired = self.add(arr[:half], arr[half:2 * half])
-            if arr.size % 2:
-                arr = np.concatenate([paired, arr[2 * half:]])
+            if not fused:
+                paired = self.add(arr[:half], arr[half:2 * half])
             else:
-                arr = paired
+                paired = np.add(arr[:half], arr[half:2 * half])
+                done += half
+                if trap and not np.isfinite(paired).all():
+                    self._charge(FpOp.ADD_D, done)  # the levels run so far
+                    raise GuestFpException("non-finite value raised SIGFPE")
+            arr = (np.concatenate([paired, arr[2 * half:]])
+                   if arr.size % 2 else paired)
+        if fused:
+            self._charge(FpOp.ADD_D, adds)
         return float(arr[0]) if arr.size else 0.0
 
     def dot(self, a, b):
         """Dot product: elementwise multiplies + tree sum."""
         return self.sum(self.mul(a, b))
 
+    # -- counters ---------------------------------------------------------------
+    @property
+    def counters(self) -> Dict[FpOp, int]:
+        """Per-op dynamic instruction counts (a fresh dict per read)."""
+        return dict(zip(_OPS, self._counts))
+
+    def op_count(self, op: FpOp) -> int:
+        """``counters[op]`` without building the dict."""
+        return self._counts[op.ordinal]
+
     # -- internals --------------------------------------------------------------
     def _charge(self, op: FpOp, n: int) -> int:
-        start = self.counters[op]
-        self.counters[op] = start + n
+        start = self._counts[op.ordinal]
+        self._counts[op.ordinal] = start + n
         self.ops_executed += n
         if self.op_budget is not None and self.ops_executed > self.op_budget:
             raise GuestTimeout(
                 f"exceeded budget of {self.op_budget} FP operations"
             )
-        if self.op_sequence and self.op_sequence[-1][0] is op:
-            last_op, last_n = self.op_sequence[-1]
-            self.op_sequence[-1] = (last_op, last_n + n)
-        elif len(self.op_sequence) < self.sequence_cap:
-            self.op_sequence.append((op, n))
+        sequence = self.op_sequence
+        if sequence and sequence[-1][0] is op:
+            sequence[-1] = (op, sequence[-1][1] + n)
+        elif len(sequence) < self.sequence_cap:
+            sequence.append((op, n))
         return start
 
     def _record(self, op: FpOp, a_bits: np.ndarray,
@@ -152,7 +203,7 @@ class FPContext:
 
     def _apply_corruption(self, op: FpOp, start: int,
                           result_bits: np.ndarray) -> bool:
-        victims = self.corruption.get(op)
+        victims = self._victims[op.ordinal]
         if not victims:
             return False
         n = result_bits.size
@@ -171,7 +222,7 @@ class FPContext:
                 raise GuestFpException("non-finite value raised SIGFPE")
 
     def _binary(self, op: FpOp, a, b):
-        ufunc, single = _BINARY_META[op]
+        ufunc, single = _BINARY_META[op.ordinal]
         a_arr = np.asarray(a, dtype=np.float64)
         b_arr = np.asarray(b, dtype=np.float64)
         if single:
@@ -183,13 +234,14 @@ class FPContext:
         scalar = result.ndim == 0
         if scalar:
             result = result.reshape(1)
-        start = self._charge(op, result.size)
+        n = result.size
+        start = self._charge(op, n)
 
         if self.record_trace:
             # Operands broadcast into fresh C-order buffers (setitem is
             # several times cheaper than np.broadcast_to on small arrays).
-            a_flat = np.empty(result.size, a_arr.dtype)
-            b_flat = np.empty(result.size, b_arr.dtype)
+            a_flat = np.empty(n, a_arr.dtype)
+            b_flat = np.empty(n, b_arr.dtype)
             a_flat.reshape(result.shape)[...] = a_arr
             b_flat.reshape(result.shape)[...] = b_arr
             if single:
@@ -199,7 +251,8 @@ class FPContext:
                 self._record(op, a_flat.view(np.uint64),
                              b_flat.view(np.uint64))
 
-        if self.corruption.get(op):
+        lo, hi = self._windows[op.ordinal]
+        if start < hi and lo < start + n:
             flat = result.reshape(-1)
             if single:
                 bits = flat.view(np.uint32).astype(np.uint64)
@@ -210,7 +263,9 @@ class FPContext:
 
         if single:
             result = result.astype(np.float64)
-        self._trap_check(result)
+        if (self._armed and self.trap_nonfinite
+                and not np.isfinite(result).all()):
+            raise GuestFpException("non-finite value raised SIGFPE")
         return result[0] if scalar else result
 
     def _conv(self, op: FpOp, values):
@@ -245,13 +300,13 @@ class FPContext:
         the op budget expires, so restoring it (plus the workload state)
         resumes an execution bit-identically.
         """
-        return ({op: n for op, n in self.counters.items() if n},
+        return ({op: n for op, n in zip(_OPS, self._counts) if n},
                 self.ops_executed)
 
     def restore_position(self, counters: Dict[FpOp, int],
                          ops_executed: int) -> None:
         """Fast-forward this context to a recorded stream position."""
-        self.counters = {op: int(counters.get(op, 0)) for op in FpOp}
+        self._counts = [int(counters.get(op, 0)) for op in _OPS]
         self.ops_executed = int(ops_executed)
 
     # -- profile extraction ---------------------------------------------------------
@@ -263,7 +318,7 @@ class FPContext:
             b_chunks = self._trace_b.get(op)
             b_bits = np.concatenate(b_chunks) if b_chunks else None
             trace[op] = (a_bits, b_bits)
-        counts = {op: n for op, n in self.counters.items() if n > 0}
+        counts = {op: n for op, n in zip(_OPS, self._counts) if n > 0}
         fp_total = sum(counts.values())
         return WorkloadProfile(
             name=name,

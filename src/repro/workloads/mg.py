@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.workloads import inputs
-from repro.workloads.base import FPContext, GuestCrash, Workload
+from repro.workloads.base import FPContext, GuestCrash, Workload, roll
 
 _SCALES = {
     # (grid size, v-cycles)
@@ -24,11 +24,11 @@ _SCALES = {
 
 def _neighbour_sum6(ctx: FPContext, u: np.ndarray) -> np.ndarray:
     """Sum of the six axis neighbours (periodic boundaries)."""
-    total = ctx.add(np.roll(u, 1, axis=0), np.roll(u, -1, axis=0))
-    total = ctx.add(total, ctx.add(np.roll(u, 1, axis=1),
-                                   np.roll(u, -1, axis=1)))
-    total = ctx.add(total, ctx.add(np.roll(u, 1, axis=2),
-                                   np.roll(u, -1, axis=2)))
+    total = ctx.add(roll(u, 1, axis=0), roll(u, -1, axis=0))
+    total = ctx.add(total, ctx.add(roll(u, 1, axis=1),
+                                   roll(u, -1, axis=1)))
+    total = ctx.add(total, ctx.add(roll(u, 1, axis=2),
+                                   roll(u, -1, axis=2)))
     return total
 
 

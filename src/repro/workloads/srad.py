@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.workloads import inputs
-from repro.workloads.base import FPContext, Workload
+from repro.workloads.base import FPContext, Workload, roll
 
 _SCALES = {
     # (height, width, iterations, lambda)
@@ -56,10 +56,10 @@ class Srad(Workload):
         var = ctx.div(ctx.sum(ctx.mul(centred, centred)), n_pix)
         q0_sq = ctx.div(var, ctx.mul(mean, mean))
 
-        north = np.roll(j, 1, axis=0)
-        south = np.roll(j, -1, axis=0)
-        west = np.roll(j, 1, axis=1)
-        east = np.roll(j, -1, axis=1)
+        north = roll(j, 1, axis=0)
+        south = roll(j, -1, axis=0)
+        west = roll(j, 1, axis=1)
+        east = roll(j, -1, axis=1)
 
         d_n = ctx.sub(north, j)
         d_s = ctx.sub(south, j)
@@ -83,8 +83,8 @@ class Srad(Workload):
         c = ctx.div(1.0, ctx.add(c_den, 1.0))
         c = np.clip(c, 0.0, 1.0)
 
-        c_s = np.roll(c, -1, axis=0)
-        c_e = np.roll(c, -1, axis=1)
+        c_s = roll(c, -1, axis=0)
+        c_e = roll(c, -1, axis=1)
         divergence = ctx.add(
             ctx.add(ctx.mul(c_s, d_s), ctx.mul(c, d_n)),
             ctx.add(ctx.mul(c_e, d_e), ctx.mul(c, d_w)),

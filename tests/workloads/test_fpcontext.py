@@ -1,6 +1,8 @@
 """Tests for the FP interposition context."""
 
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.workloads.base import (
     FPContext,
     GuestFpException,
     GuestTimeout,
+    roll,
 )
 
 
@@ -473,3 +476,101 @@ class TestGuestErrorState:
             golden = CampaignRunner(DivideByZero(scale="tiny")).golden()
         assert np.isinf(golden.output).all()
         assert golden.fp_ops_executed == 4
+
+
+class TestFusedTreeSum:
+    """The fused tree sum against the level-by-level oracle at its edges.
+
+    Each case runs ``prepare`` then ``sum`` on a fresh FPContext and a
+    fresh ``_OracleContext`` and asserts the same result (or exception),
+    dispatch state and recorded trace.
+    """
+
+    @staticmethod
+    def _compare(values, prepare=None, **options):
+        outcomes = []
+        contexts = (FPContext(**options), _OracleContext(**options))
+        with np.errstate(all="ignore"):
+            for ctx in contexts:
+                if prepare is not None:
+                    prepare(ctx)
+                try:
+                    out = np.float64(ctx.sum(values)).tobytes()
+                except (GuestTimeout, GuestFpException) as exc:
+                    out = type(exc)
+                outcomes.append((out, _state(ctx)))
+        assert outcomes[0] == outcomes[1]
+        _assert_same_chunks(contexts[0]._trace_a, contexts[1]._trace_a)
+        _assert_same_chunks(contexts[0]._trace_b, contexts[1]._trace_b)
+        return contexts[0], outcomes[0][0]
+
+    @staticmethod
+    def _five_adds(ctx):
+        ctx.add(np.ones(5), np.ones(5))  # the tree starts at ADD_D index 5
+
+    @pytest.mark.parametrize("offset,lands", [(0, True), (255, True),
+                                              (256, False)])
+    def test_add_victim_at_tree_edges(self, rng, offset, lands):
+        # 257 values: 256 adds at ADD_D indices 5..260.
+        ctx, _ = self._compare(
+            rng.normal(size=257), self._five_adds,
+            corruption={FpOp.ADD_D: {5 + offset: 1 << 51}})
+        assert ctx.corrupted_events == int(lands)
+
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_budget_at_tree_end(self, rng, slack):
+        _, out = self._compare(rng.normal(size=257), self._five_adds,
+                               op_budget=5 + 256 + slack)
+        assert (out is GuestTimeout) == (slack < 0)
+
+    def test_armed_trap_at_inner_level(self):
+        # Level 0 is finite (1e308 + 1); level 1 overflows to inf.
+        values = np.array([1e308] * 4 + [1.0] * 4)
+
+        def arm(ctx):
+            ctx.mul(np.ones(1), np.ones(1))  # the MUL_D victim lands
+
+        ctx, out = self._compare(values, arm, trap_nonfinite=True,
+                                 corruption={FpOp.MUL_D: {0: 1}})
+        assert out is GuestFpException
+        assert ctx.counters[FpOp.ADD_D] == 4 + 2  # levels 0 and 1 charged
+
+    def test_record_trace(self, rng):
+        ctx, _ = self._compare(rng.normal(size=257), self._five_adds,
+                               record_trace=True)
+        assert ctx._trace_len[FpOp.ADD_D] == 5 + 256
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 257])
+    def test_sizes(self, rng, size):
+        ctx, _ = self._compare(rng.normal(size=size), self._five_adds,
+                               trap_nonfinite=True)
+        assert ctx.op_sequence == [(FpOp.ADD_D, 5 + max(size - 1, 0))]
+
+
+class TestPeriodicRoll:
+    @pytest.mark.parametrize("shape", [(7,), (1,), (4, 6), (1, 5), (5, 1),
+                                       (3, 4, 5), (4, 1, 3), (1, 1, 1)])
+    @pytest.mark.parametrize("shift", [1, -1])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_matches_np_roll(self, rng, shape, shift, dtype):
+        a = (rng.normal(size=shape) * 100).astype(dtype)
+        for axis in range(a.ndim):
+            got, want = roll(a, shift, axis=axis), np.roll(a, shift, axis=axis)
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, a)
+
+
+def test_perfbench_traced_api_defined_on_fpcontext():
+    # perfbench times guest FP dispatch by wrapping these names in
+    # FPContext.__dict__; a name defined elsewhere would silently move
+    # guest time into its residual.
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.FP_OPS) == 12
+    for name in tracing.FP_OPS:
+        assert name in FPContext.__dict__, name
